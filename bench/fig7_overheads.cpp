@@ -44,6 +44,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    return toolMain("fig7_overheads", [&] {
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig7.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -361,4 +362,5 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+    });
 }

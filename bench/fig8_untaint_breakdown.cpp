@@ -24,6 +24,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    return toolMain("fig8_untaint_breakdown", [&] {
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig8.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -119,4 +120,5 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+    });
 }

@@ -31,6 +31,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    return toolMain("fig9_untaint_width", [&] {
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig9.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -163,4 +164,5 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+    });
 }

@@ -29,7 +29,7 @@ namespace spt {
 uint64_t parseUnsigned(const std::string &text, const char *what,
                        uint64_t max = UINT64_MAX);
 
-/** Parses a finite non-negative decimal real (e.g. "--deadline
+/** Parses a finite non-negative decimal real (e.g. "--seconds
  *  2.5"); SPT_FATAL on empty input, trailing garbage, negative or
  *  non-finite values. */
 double parseDouble(const std::string &text, const char *what);

@@ -80,9 +80,7 @@ class JsonWriter
 };
 
 /** @p s as a JSON string literal, quotes included, with the
- *  writer's escaping rules. Shared with the compact single-line
- *  renderers (common/event_log.h) so every JSON we emit escapes
- *  identically. */
+ *  writer's escaping rules. */
 std::string jsonQuoted(const std::string &s);
 
 /** Writes @p content to @p path atomically enough for bench use

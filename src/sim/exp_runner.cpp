@@ -12,7 +12,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "sim/sweep_service.h"
 #include "uarch/invariant_checker.h"
 
 namespace spt {
@@ -226,16 +225,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         if (grid[i].program == nullptr)
             SPT_FATAL("RunJob " << i << " has a null program");
 
-    // Route the whole grid to a sweep daemon when one is configured
-    // (it owns the warm cache and worker pool; outcomes come back
-    // byte-identical to an in-process run).
-    std::string socket = policy.service_socket;
-    if (socket.empty())
-        if (const char *env = std::getenv("SPT_SWEEP_SOCKET"))
-            socket = env;
-    if (!socket.empty() && socket != kNoSweepService)
-        return runGridViaService(socket, grid, policy, &last_);
-
     // Deduplicate up front: unique jobs run on the pool, duplicate
     // slots are filled by copy afterwards.
     std::vector<std::size_t> unique;       // grid indices to simulate
@@ -249,38 +238,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         if (inserted)
             unique.push_back(i);
     }
-
-    // Telemetry sinks (observability only — nothing below reads any
-    // of these back into simulated state, which is the whole
-    // determinism argument of DESIGN.md §15). Series handles are
-    // resolved here on the main thread so workers only bump atomics.
-    EventLog &elog =
-        policy.event_log ? *policy.event_log : EventLog::global();
-    MetricsRegistry &reg =
-        policy.metrics ? *policy.metrics : MetricsRegistry::global();
-    ProgressBoard &board =
-        policy.progress ? *policy.progress : ProgressBoard::global();
-    Counter &m_exec = reg.counter("runner.jobs.executed");
-    Counter &m_cycles = reg.counter("runner.sim.cycles");
-    Counter &m_instr = reg.counter("runner.sim.instructions");
-    Counter &m_cache_hits = reg.counter("runner.cache.hits");
-    Counter &m_cache_misses = reg.counter("runner.cache.misses");
-    Counter &m_verify_mm =
-        reg.counter("runner.cache.verify_mismatches");
-    BoundedHistogram &m_host_ms = reg.histogram(
-        "runner.job.host_ms", {1, 10, 100, 1000, 10000, 60000});
-    Gauge &g_running = reg.gauge("runner.jobs.running");
-    board.reset(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        board.setLabel(i, describeRunJob(grid[i]));
-    const std::string sweep_span = EventLog::newSpanId();
-    elog.emit(EventLevel::kInfo, "runner", "sweep-start",
-              EventFields()
-                  .num("jobs", static_cast<uint64_t>(grid.size()))
-                  .num("unique",
-                       static_cast<uint64_t>(unique.size()))
-                  .num("workers", static_cast<uint64_t>(workers_)),
-              sweep_span, policy.parent_span);
 
     // Canonical cache keys are computed up front on the main thread:
     // canonicalKey may read a checkpoint file, and the memoization
@@ -309,49 +266,13 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         const std::string &ckey = ckeys[slot];
         RunOutcome cached;
         bool verify_hit = false;
-        bool cache_hit = false;
-        if (cache && !ckey.empty()) {
-            if (cache->lookup(ckey, &cached)) {
-                cache_hit = true;
-                // Mirrors ResultCache's own hit/miss accrual so the
-                // registry series conserve against SweepStats::cache
-                // (pinned in tests/test_telemetry.cpp).
-                m_cache_hits.inc();
-            } else {
-                m_cache_misses.inc();
-            }
-        }
-        if (cache_hit) {
-            if (cache->mode() == CacheMode::kVerify) {
-                verify_hit = true; // re-simulate, then compare
-            } else {
-                board.start(slot);
-                board.finish(slot, cached.result.cycles,
-                             cached.result.instructions);
-                elog.emit(EventLevel::kInfo, "runner", "job-done",
-                          EventFields()
-                              .num("slot",
-                                   static_cast<uint64_t>(slot))
-                              .str("job", describeRunJob(job))
-                              .str("status",
-                                   runStatusName(cached.status))
-                              .num("cycles", cached.result.cycles)
-                              .str("cache", "hit"),
-                          EventLog::newSpanId(), sweep_span);
+        if (cache && !ckey.empty() && cache->lookup(ckey, &cached)) {
+            if (cache->mode() != CacheMode::kVerify) {
                 outcomes[slot] = std::move(cached);
-                if (policy.on_slot_complete)
-                    policy.on_slot_complete(slot, outcomes[slot]);
                 return;
             }
+            verify_hit = true; // re-simulate, then compare
         }
-        const std::string job_span = EventLog::newSpanId();
-        board.start(slot);
-        g_running.add(1);
-        elog.emit(EventLevel::kDebug, "runner", "job-start",
-                  EventFields()
-                      .num("slot", static_cast<uint64_t>(slot))
-                      .str("job", describeRunJob(job)),
-                  job_span, sweep_span);
         RunOutcome out;
         try {
             SimConfig cfg = configFor(job);
@@ -367,12 +288,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             std::ostringstream trace_text, trace_pipeview;
             if (job.trace)
                 sim.enableTrace(&trace_text, &trace_pipeview);
-            if (policy.heartbeat_cycles != 0)
-                sim.setHeartbeat(
-                    policy.heartbeat_cycles,
-                    [&board, slot](uint64_t c, uint64_t i) {
-                        board.heartbeat(slot, c, i);
-                    });
             const auto j0 = std::chrono::steady_clock::now();
             out.result = sim.run();
             const auto j1 = std::chrono::steady_clock::now();
@@ -403,44 +318,17 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         }
         if (verify_hit &&
             ResultCache::encodeOutcomeDeterministic(out) !=
-                ResultCache::encodeOutcomeDeterministic(cached)) {
+                ResultCache::encodeOutcomeDeterministic(cached))
             cache->noteVerifyMismatch(ckey);
-            m_verify_mm.inc();
-        }
+        // Stored as soon as the job finishes, not after the sweep:
+        // this is what lets a killed sweep resume from the cache.
         if (cache && !ckey.empty() && !verify_hit)
             cache->store(ckey, out);
         if (policy.capture_evidence &&
             (out.status == RunStatus::kCrash ||
              out.status == RunStatus::kViolation))
             captureEvidence(job, out);
-        g_running.add(-1);
-        m_exec.inc();
-        // Simulated-work totals: conserve against the per-outcome
-        // cycle/instruction counts (each executed simulation billed
-        // exactly once; memo and cache hits excluded).
-        m_cycles.inc(out.result.cycles);
-        m_instr.inc(out.result.instructions);
-        m_host_ms.record(
-            static_cast<uint64_t>(out.host_seconds * 1000.0));
-        board.finish(slot, out.result.cycles,
-                     out.result.instructions);
-        elog.emit(out.failed() ? EventLevel::kWarn
-                               : EventLevel::kInfo,
-                  "runner", "job-done",
-                  EventFields()
-                      .num("slot", static_cast<uint64_t>(slot))
-                      .str("job", describeRunJob(job))
-                      .str("status", runStatusName(out.status))
-                      .num("cycles", out.result.cycles)
-                      .num("instructions", out.result.instructions)
-                      .real("host_s", out.host_seconds)
-                      .str("cache", !cache ? "off"
-                                  : verify_hit ? "verify"
-                                               : "miss"),
-                  job_span, sweep_span);
         outcomes[slot] = std::move(out);
-        if (policy.on_slot_complete)
-            policy.on_slot_complete(slot, outcomes[slot]);
     });
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -452,13 +340,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             // duplicate in every per-config host-time total.
             outcomes[i].memoized = true;
             outcomes[i].host_seconds = 0.0;
-            // Memoized slots never ran on the pool; mark them done
-            // on the board so monitors see 100% completion.
-            board.start(i);
-            board.finish(i, outcomes[i].result.cycles,
-                         outcomes[i].result.instructions);
-            if (policy.on_slot_complete)
-                policy.on_slot_complete(i, outcomes[i]);
         }
     // Descriptors are per-slot, not per-unique-run: duplicates may
     // carry distinct labels.
@@ -474,7 +355,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     last_.cache_mode =
         cache ? cacheModeName(cache->mode()) : "off";
     last_.cache_dir = cache ? cache->dir() : "";
-    last_.via_service = false;
     last_.failed_jobs = 0;
     last_.first_failure.clear();
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -484,29 +364,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         if (last_.first_failure.empty())
             last_.first_failure = outcomes[i].job_desc;
     }
-
-    // Sweep-level series: per-event counters were bumped live in
-    // the workers; the remaining totals are only known here.
-    reg.counter("runner.sweeps").inc();
-    reg.counter("runner.jobs.submitted")
-        .inc(static_cast<uint64_t>(grid.size()));
-    reg.counter("runner.jobs.memoized").inc(last_.memo_hits);
-    reg.counter("runner.jobs.failed").inc(last_.failed_jobs);
-    reg.counter("runner.cache.bytes_written")
-        .inc(last_.cache.bytes_written);
-    elog.emit(last_.failed_jobs ? EventLevel::kWarn
-                                : EventLevel::kInfo,
-              "runner", "sweep-done",
-              EventFields()
-                  .num("jobs", static_cast<uint64_t>(grid.size()))
-                  .num("unique", last_.unique_jobs)
-                  .num("memo_hits", last_.memo_hits)
-                  .num("failed", last_.failed_jobs)
-                  .str("first_failure", last_.first_failure)
-                  .num("cache_hits", last_.cache.hits)
-                  .num("cache_misses", last_.cache.misses)
-                  .real("wall_s", last_.wall_seconds),
-              sweep_span, policy.parent_span);
 
     if (!policy.keep_going)
         for (std::size_t i = 0; i < grid.size(); ++i)

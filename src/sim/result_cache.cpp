@@ -1,5 +1,7 @@
 #include "sim/result_cache.h"
 
+#include <unistd.h>
+
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
@@ -484,7 +486,10 @@ ResultCache::store(const std::string &key, const RunOutcome &out)
     std::string tmp;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        tmp = path + ".tmp" + std::to_string(tmp_seq_++);
+        // The pid keeps processes sharing the directory from writing
+        // through one temp file.
+        tmp = path + ".tmp" + std::to_string(getpid()) + "." +
+              std::to_string(tmp_seq_++);
     }
     bool ok = false;
     {

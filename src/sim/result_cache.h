@@ -1,8 +1,8 @@
 /**
  * @file
  * On-disk content-addressed result cache: cross-process memoization
- * of RunJob outcomes (the first layer of sweep-as-a-service,
- * DESIGN.md §14).
+ * of RunJob outcomes, and the resume point of a killed sweep
+ * (DESIGN.md §14).
  *
  * The in-process memoization of sim/exp_runner.h keys jobs by
  * object identity (program/map pointers) and dies with the process;
@@ -111,8 +111,8 @@ class ResultCache
                      nullptr);
 
     /** Deterministic wire encoding of an outcome — the record
-     *  payload, also reused verbatim by the sweep-service protocol.
-     *  job_desc/memoized are per-slot runner state and excluded. */
+     *  payload. job_desc/memoized are per-slot runner state and
+     *  excluded. */
     static std::string encodeOutcome(const RunOutcome &out);
     /** Inverse of encodeOutcome; SPT_FATAL on malformed bytes. */
     static RunOutcome decodeOutcome(const std::string &bytes);
@@ -149,7 +149,7 @@ class ResultCache
     CacheMode mode_;
     mutable std::mutex mutex_;
     CacheStats stats_;
-    uint64_t tmp_seq_ = 0; ///< unique temp-file suffix per store
+    uint64_t tmp_seq_ = 0; ///< temp-file suffix, unique per process
     bool write_failed_ = false; ///< warn once, then stay quiet
 };
 

@@ -2,15 +2,22 @@
  * @file
  * Parallel experiment runner (sim/exp_runner.h + common/parallel.h):
  * determinism across worker counts, memoization accounting,
- * exception-in-job propagation, and the memo-key sensitivity that
- * keeps distinct design points from merging.
+ * exception-in-job propagation, the memo-key sensitivity that
+ * keeps distinct design points from merging, and the on-disk result
+ * cache, including resume after a killed sweep.
  */
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -582,6 +589,82 @@ TEST(ResultCache, FailedOutcomesAreNotStored)
     RunnerPolicy fail_fast = policy;
     fail_fast.keep_going = false;
     EXPECT_THROW(runner.run(grid, fail_fast), PanicError);
+}
+
+/** Finished records in @p dir; in-flight `*.tmp*` files excluded. */
+size_t
+countCacheRecords(const std::string &dir)
+{
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec))
+        if (entry.path().extension() == ".sptres")
+            ++n;
+    return n;
+}
+
+// The runner stores each outcome as its job finishes, so a sweep
+// killed mid-run and rerun on the same cache re-simulates exactly the
+// slots it had not finished, and the resumed outcomes are identical
+// to an uncached run's. This is the crash-resume guarantee of the
+// cache (DESIGN.md §14).
+TEST(ResultCache, Kill9MidSweepResumesOnlyUnfinishedSlots)
+{
+    const TestPrograms programs;
+    std::vector<RunJob> grid = mixedGrid(programs);
+    grid.resize(12); // pchase and hashtab: 12 distinct jobs
+    const std::string dir = freshCacheDir("spt_cache_kill9");
+    RunnerPolicy policy;
+    policy.cache_dir = dir;
+
+    const pid_t child = fork();
+    ASSERT_GE(child, 0) << "fork failed";
+    if (child == 0) {
+        // Never return into the test framework from the child.
+        try {
+            ExpRunner(1).run(grid, policy);
+        } catch (...) {
+            _exit(1);
+        }
+        _exit(0);
+    }
+    bool killed = false;
+    while (!killed) {
+        if (countCacheRecords(dir) >= 3) {
+            kill(child, SIGKILL);
+            killed = true;
+        } else if (waitpid(child, nullptr, WNOHANG) == child) {
+            FAIL() << "the sweep exited before 3 records appeared";
+        } else {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the sweep finished before SIGKILL landed; the resume "
+           "check would be vacuous";
+    const size_t records_before = countCacheRecords(dir);
+    ASSERT_GE(records_before, 3u);
+    ASSERT_LT(records_before, grid.size());
+
+    ExpRunner resumed(2);
+    const std::vector<RunOutcome> got = resumed.run(grid, policy);
+    EXPECT_EQ(resumed.lastSweep().cache.hits, records_before);
+    EXPECT_EQ(resumed.lastSweep().cache.misses,
+              grid.size() - records_before);
+
+    RunnerPolicy uncached;
+    uncached.cache_dir = dir;
+    uncached.cache_mode = CacheMode::kOff;
+    ExpRunner reference(2);
+    const std::vector<RunOutcome> want = reference.run(grid, uncached);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(ResultCache::encodeOutcomeDeterministic(got[i]),
+                  ResultCache::encodeOutcomeDeterministic(want[i]))
+            << "slot " << i;
 }
 
 TEST(JsonWriter, StableFormattingAndEscaping)
