@@ -7,6 +7,12 @@ namespace spt {
 BranchPredictorUnit::BranchPredictorUnit(const TageConfig &config)
     : ltage_(config)
 {
+    cond_predictions_ = stats_.counter("bpu.cond_predictions");
+    ras_predictions_ = stats_.counter("bpu.ras_predictions");
+    btb_hits_ = stats_.counter("bpu.btb_hits");
+    btb_misses_ = stats_.counter("bpu.btb_misses");
+    cond_updates_ = stats_.counter("bpu.cond_updates");
+    btb_updates_ = stats_.counter("bpu.btb_updates");
 }
 
 bool
@@ -34,7 +40,7 @@ BranchPredictorUnit::predict(uint64_t pc, const Instruction &inst)
         p.next_pc = p.taken
                         ? pc + static_cast<uint64_t>(inst.imm)
                         : pc + 1;
-        stats_.inc("bpu.cond_predictions");
+        stats_.inc(cond_predictions_);
         return p;
     }
     // Unconditional control flow.
@@ -44,11 +50,11 @@ BranchPredictorUnit::predict(uint64_t pc, const Instruction &inst)
     } else { // JALR
         if (isReturn(inst)) {
             p.next_pc = ras_.empty() ? pc + 1 : ras_.pop();
-            stats_.inc("bpu.ras_predictions");
+            stats_.inc(ras_predictions_);
         } else {
             const auto target = btb_.lookup(pc);
             p.next_pc = target ? *target : pc + 1;
-            stats_.inc(target ? "bpu.btb_hits" : "bpu.btb_misses");
+            stats_.inc(target ? btb_hits_ : btb_misses_);
         }
     }
     if (isCall(inst))
@@ -62,10 +68,10 @@ BranchPredictorUnit::commitUpdate(uint64_t pc, const Instruction &inst,
 {
     if (isCondBranch(inst.op)) {
         ltage_.update(pc, taken);
-        stats_.inc("bpu.cond_updates");
+        stats_.inc(cond_updates_);
     } else if (inst.op == Opcode::kJalr && !isReturn(inst)) {
         btb_.update(pc, target);
-        stats_.inc("bpu.btb_updates");
+        stats_.inc(btb_updates_);
     }
 }
 

@@ -69,6 +69,8 @@ class BranchPredictorUnit
     Btb btb_;
     ReturnAddressStack ras_;
     StatSet stats_;
+    StatSet::Counter cond_predictions_, ras_predictions_, btb_hits_,
+        btb_misses_, cond_updates_, btb_updates_;
 };
 
 } // namespace spt

@@ -202,12 +202,16 @@ TagePredictor::update(uint64_t pc, bool taken)
 BpCheckpoint
 TagePredictor::checkpoint() const
 {
+    // Sized once: every predicted control instruction (wrong-path
+    // ones included) takes a checkpoint.
     BpCheckpoint cp;
-    cp.words.push_back(spec_.history.head());
+    cp.words.resize(1 + 3 * size_t{config_.num_tables});
+    cp.words[0] = spec_.history.head();
+    size_t i = 1;
     for (unsigned t = 0; t < config_.num_tables; ++t) {
-        cp.words.push_back(spec_.index_fold[t].value());
-        cp.words.push_back(spec_.tag_fold0[t].value());
-        cp.words.push_back(spec_.tag_fold1[t].value());
+        cp.words[i++] = spec_.index_fold[t].value();
+        cp.words[i++] = spec_.tag_fold0[t].value();
+        cp.words[i++] = spec_.tag_fold1[t].value();
     }
     return cp;
 }

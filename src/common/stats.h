@@ -12,6 +12,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spt {
@@ -71,11 +72,62 @@ class Histogram
     uint64_t max_ = 0;
 };
 
-/** Flat registry of named counters and histograms. */
+/** Flat registry of named counters and histograms.
+ *
+ *  Names are interned into slots: a component resolves each name
+ *  once (counter(), histogramHandle()) and its hot path then bumps
+ *  the slot by index, with no string built or looked up. A slot that
+ *  was registered but never written stays invisible — counters(),
+ *  dump() and dumpJson() list exactly the names that were written,
+ *  sorted by name, as if the registry were a plain name map. Name
+ *  lookups are linear scans: a set holds a few dozen names, and
+ *  only registration and cold paths look names up. */
 class StatSet
 {
   public:
-    /** Increment a named counter, creating it on first use. */
+    /** An interned counter name: a slot index valid in the StatSet
+     *  that issued it, across reset(), snapshot restore and being
+     *  assigned to, and in any copy of it. */
+    class Counter
+    {
+        friend class StatSet;
+        uint32_t slot_ = 0;
+    };
+
+    /** An interned histogram name plus its bucket count. */
+    class HistogramHandle
+    {
+        friend class StatSet;
+        uint32_t slot_ = 0;
+        uint32_t num_buckets_ = 0;
+    };
+
+    StatSet() = default;
+    StatSet(const StatSet &) = default;
+    /** Copies @p other's contents by name into this set's slots, so
+     *  the handles this set issued stay valid. @p other's handles
+     *  work here too when this set's names are a prefix of
+     *  @p other's (e.g. when this set was empty). */
+    StatSet &operator=(const StatSet &other);
+
+    /** Interns @p name as a counter slot without creating the
+     *  counter: it appears only once written. */
+    Counter counter(std::string_view name);
+
+    /** Interns @p name as a histogram slot of @p num_buckets buckets
+     *  (see histogram()), without creating the histogram. */
+    HistogramHandle histogramHandle(std::string_view name,
+                                    size_t num_buckets = 16);
+
+    /** Increment a counter, creating it on first use (also when
+     *  @p by is 0). */
+    void
+    inc(Counter c, uint64_t by = 1)
+    {
+        Slot &s = slots_[c.slot_];
+        s.value += by;
+        s.live = true;
+    }
     void inc(const std::string &name, uint64_t by = 1);
 
     /** Set a named counter to an absolute value. */
@@ -84,19 +136,21 @@ class StatSet
     /** Reads a counter (0 if never touched). */
     uint64_t get(const std::string &name) const;
 
-    /** Access (and lazily create) a named histogram. */
+    /** Access (and lazily create) a histogram. */
+    Histogram &
+    histogram(HistogramHandle h)
+    {
+        return histogramAt(h.slot_, h.num_buckets_);
+    }
     Histogram &histogram(const std::string &name,
                          size_t num_buckets = 16);
 
-    const std::map<std::string, uint64_t> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
+    /** The written counters, sorted by name. */
+    std::map<std::string, uint64_t> counters() const;
+    /** The created histograms, sorted by name. */
+    std::map<std::string, Histogram> histograms() const;
 
+    /** Forgets every counter and histogram; handles stay valid. */
     void reset();
 
     /** Dumps all counters in "name value" lines sorted by name;
@@ -109,10 +163,48 @@ class StatSet
     void dumpJson(JsonWriter &jw) const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
+    struct Slot {
+        uint64_t value = 0;
+        bool live = false; ///< written since creation / reset()
+    };
+    struct HistSlot {
+        Histogram hist;
+        bool live = false;
+    };
 
-    std::map<std::string, uint64_t> counters_;
-    std::map<std::string, Histogram> histograms_;
+    /** Slot names, concatenated into one buffer so that interning a
+     *  name costs no allocation of its own. */
+    class NameTable
+    {
+      public:
+        uint32_t size() const
+        {
+            return static_cast<uint32_t>(ends_.size());
+        }
+        std::string_view
+        operator[](uint32_t i) const
+        {
+            const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+            return std::string_view(chars_).substr(begin,
+                                                   ends_[i] - begin);
+        }
+        /** Index of @p name, or size() if absent. */
+        uint32_t find(std::string_view name) const;
+        /** Index of @p name, appending it if absent. */
+        uint32_t intern(std::string_view name);
+
+      private:
+        std::string chars_;
+        std::vector<uint32_t> ends_; ///< end offset of each name
+    };
+
+    /** Slot data, indexed by handle; names_[i] names slots_[i]. */
+    NameTable names_;
+    std::vector<Slot> slots_;
+    NameTable hist_names_;
+    std::vector<HistSlot> hist_slots_;
+
+    Histogram &histogramAt(uint32_t slot, size_t num_buckets);
 };
 
 } // namespace spt

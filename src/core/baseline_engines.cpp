@@ -37,7 +37,7 @@ SttEngine::rootLive(SeqNum root) const
 {
     if (root == 0)
         return false;
-    const DynInstPtr d = core_->findInst(root);
+    const DynInst *d = core_->findInst(root);
     // Retired or squashed roots no longer taint; a root that reached
     // the VP s-untaints all dependents in the same cycle (STT's
     // single-cycle untaint).
@@ -67,7 +67,7 @@ SttEngine::mayAccessMemory(const DynInst &d) const
         return true;
     const bool blocked = regTainted(d.prs1);
     if (blocked)
-        stats_.inc("policy.mem_blocked_checks");
+        stats_.inc(mem_blocked_checks_);
     return !blocked;
 }
 

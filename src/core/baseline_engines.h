@@ -28,13 +28,18 @@ namespace spt {
 class SecureBaselineEngine : public SecurityEngine
 {
   public:
+    SecureBaselineEngine()
+        : mem_blocked_checks_(stats_.counter("policy.mem_blocked_checks"))
+    {
+    }
+
     const char *name() const override { return "secure-baseline"; }
 
     bool
     mayAccessMemory(const DynInst &d) const override
     {
         if (!d.at_vp)
-            stats_.inc("policy.mem_blocked_checks");
+            stats_.inc(mem_blocked_checks_);
         return d.at_vp;
     }
 
@@ -53,13 +58,21 @@ class SecureBaselineEngine : public SecurityEngine
         // Bulk form of the blocked mayAccessMemory stat (the only
         // stat-carrying gate this scheme has).
         if (kind == DelayKind::kMemAccess)
-            stats_.inc("policy.mem_blocked_checks", cycles);
+            stats_.inc(mem_blocked_checks_, cycles);
     }
+
+  private:
+    StatSet::Counter mem_blocked_checks_;
 };
 
 class SttEngine : public SecurityEngine
 {
   public:
+    SttEngine()
+        : mem_blocked_checks_(stats_.counter("policy.mem_blocked_checks"))
+    {
+    }
+
     void attach(Core &core) override;
     const char *name() const override { return "stt"; }
 
@@ -81,7 +94,7 @@ class SttEngine : public SecurityEngine
         // Bulk form of the blocked mayAccessMemory stat; the other
         // gates are stats-pure.
         if (kind == DelayKind::kMemAccess)
-            stats_.inc("policy.mem_blocked_checks", cycles);
+            stats_.inc(mem_blocked_checks_, cycles);
     }
 
     /** Is the value in @p reg currently s-tainted? */
@@ -100,6 +113,7 @@ class SttEngine : public SecurityEngine
     uint64_t taintedRegCount() const override;
 
   private:
+    StatSet::Counter mem_blocked_checks_;
     /** Youngest root of taint per physical register; 0 = none. */
     std::vector<SeqNum> root_;
 

@@ -53,8 +53,33 @@ reasonEvent(SptEngine::UntaintReason r)
 
 } // namespace
 
+SptEngine::Counters::Counters(StatSet &s)
+    : untaint_events(s.counter("untaint.events")),
+      untaint_broadcasts(s.counter("untaint.broadcasts")),
+      knowledge_map_lookups(s.counter("knowledge.map_lookups")),
+      knowledge_precleared_ops(s.counter("knowledge.precleared_ops")),
+      knowledge_precleared_insts(
+          s.counter("knowledge.precleared_insts")),
+      knowledge_precleared_inflight(
+          s.counter("knowledge.precleared_inflight")),
+      shadow_load_clears(s.counter("shadow.load_clears")),
+      policy_load_blocked_checks(
+          s.counter("policy.load_blocked_checks")),
+      policy_store_blocked_checks(
+          s.counter("policy.store_blocked_checks")),
+      mutation_leaky_gate_opens(s.counter("mutation.leaky_gate_opens")),
+      fault_broadcast_starved_cycles(
+          s.counter("fault.broadcast_starved_cycles")),
+      untaint_regs_per_cycle(
+          s.histogramHandle("untaint.regs_per_untaint_cycle", 12))
+{
+    for (std::size_t r = 0; r < untaint_by_reason.size(); ++r)
+        untaint_by_reason[r] = s.counter(
+            reasonName(static_cast<SptEngine::UntaintReason>(r)));
+}
+
 SptEngine::SptEngine(const SptConfig &config)
-    : cfg_(config)
+    : cfg_(config), ctr_(stats_)
 {
 }
 
@@ -231,8 +256,8 @@ void
 SptEngine::countUntaint(UntaintReason reason, const Entry &e,
                         int slot)
 {
-    stats_.inc(reasonName(reason));
-    stats_.inc("untaint.events");
+    stats_.inc(ctr_.untaint_by_reason[static_cast<std::size_t>(reason)]);
+    stats_.inc(ctr_.untaint_events);
     if (observer_)
         observer_->taintEvent(core_->cycle(), reasonEvent(reason),
                               *e.inst, static_cast<uint8_t>(slot));
@@ -302,7 +327,7 @@ SptEngine::onRename(DynInst &d)
         // register is armed (its value already VP-declassified), so
         // the relaxation never outruns the dynamic engine's own
         // declassifications on a transient wrong path.
-        stats_.inc("knowledge.map_lookups");
+        stats_.inc(ctr_.knowledge_map_lookups);
         const uint32_t robust =
             cfg_.knowledge_map->robustRegsAt(d.pc);
         bool precleared = false;
@@ -311,19 +336,19 @@ SptEngine::onRename(DynInst &d)
                 armed_[d.prs1]) {
                 it.src[0] = TaintMask::none();
                 countUntaint(UntaintReason::kMapPreclear, e, 1);
-                stats_.inc("knowledge.precleared_ops");
+                stats_.inc(ctr_.knowledge_precleared_ops);
                 precleared = true;
             }
             if (d.num_srcs >= 2 && it.src[1].any() &&
                 (robust >> d.si.rs2 & 1) && armed_[d.prs2]) {
                 it.src[1] = TaintMask::none();
                 countUntaint(UntaintReason::kMapPreclear, e, 2);
-                stats_.inc("knowledge.precleared_ops");
+                stats_.inc(ctr_.knowledge_precleared_ops);
                 precleared = true;
             }
         }
         if (precleared)
-            stats_.inc("knowledge.precleared_insts");
+            stats_.inc(ctr_.knowledge_precleared_insts);
     }
     if (d.has_dest) {
         if (d.is_load) {
@@ -420,7 +445,7 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
         if (!forwarded && cfg_.shadow != ShadowKind::kNone) {
             it.shadow_cleared = true;
             taint_store_->clearTaint(d.eff_addr, d.mem_bytes);
-            stats_.inc("shadow.load_clears");
+            stats_.inc(ctr_.shadow_load_clears);
         }
         return;
     }
@@ -492,13 +517,13 @@ SptEngine::mayAccessMemory(const DynInst &d) const
 {
     const bool allowed = addrOperandPublic(d);
     if (!allowed) {
-        stats_.inc(d.is_load ? "policy.load_blocked_checks"
-                             : "policy.store_blocked_checks");
+        stats_.inc(d.is_load ? ctr_.policy_load_blocked_checks
+                             : ctr_.policy_store_blocked_checks);
         if (cfg_.mutation == SptConfig::Mutation::kLeakyMemGate) {
             // Seeded bug (chaos mutation mode): the gate lies. The
             // transmitPublic claim below still tells the truth, so
             // the InvariantChecker flags the ensuing access.
-            stats_.inc("mutation.leaky_gate_opens");
+            stats_.inc(ctr_.mutation_leaky_gate_opens);
             return true;
         }
     }
@@ -693,8 +718,8 @@ SptEngine::accrueBlockedTransmit(const DynInst &d, DelayKind kind,
     // performs once per cycle; the branch-resolve and mem-order
     // gates are stats-pure, so skipped cycles owe them nothing.
     if (kind == DelayKind::kMemAccess)
-        stats_.inc(d.is_load ? "policy.load_blocked_checks"
-                             : "policy.store_blocked_checks",
+        stats_.inc(d.is_load ? ctr_.policy_load_blocked_checks
+                             : ctr_.policy_store_blocked_checks,
                    cycles);
 }
 
@@ -786,8 +811,8 @@ SptEngine::armAndPreclear(PhysReg reg)
             continue;
         m = TaintMask::none();
         countUntaint(UntaintReason::kMapPreclear, e, ref.slot);
-        stats_.inc("knowledge.precleared_ops");
-        stats_.inc("knowledge.precleared_inflight");
+        stats_.inc(ctr_.knowledge_precleared_ops);
+        stats_.inc(ctr_.knowledge_precleared_inflight);
         markLocalDirty(e);
     }
     refs.resize(w);
@@ -937,7 +962,7 @@ SptEngine::shadowClearPhase()
         e.shadow_candidate = false;
         shadow_candidates_.clear(pos & idx_mask_);
         taint_store_->clearTaint(ld->eff_addr, ld->mem_bytes);
-        stats_.inc("shadow.load_clears");
+        stats_.inc(ctr_.shadow_load_clears);
         return true;
     });
 }
@@ -976,7 +1001,7 @@ SptEngine::applyBroadcast(PhysReg reg, TaintMask mask)
             markLocalDirty(e);
     }
     refs.resize(w);
-    stats_.inc("untaint.broadcasts");
+    stats_.inc(ctr_.untaint_broadcasts);
 }
 
 void
@@ -988,7 +1013,7 @@ SptEngine::broadcastPhase()
         // Starve the untaint bus for this cycle; raised flags stay
         // pending and drain on a later cycle.
         width = 0;
-        stats_.inc("fault.broadcast_starved_cycles");
+        stats_.inc(ctr_.fault_broadcast_starved_cycles);
     }
     // Drain raised flags in arbitration order (a head-to-tail bitmap
     // scan: older instruction first, destination before sources) up
@@ -1075,7 +1100,7 @@ SptEngine::tick()
         broadcastPhase();
     }
     if (untainted_regs_this_cycle_ > 0) {
-        stats_.histogram("untaint.regs_per_untaint_cycle", 12)
+        stats_.histogram(ctr_.untaint_regs_per_cycle)
             .record(untainted_regs_this_cycle_);
     }
 }

@@ -52,6 +52,7 @@
 #ifndef SPT_CORE_SPT_ENGINE_H
 #define SPT_CORE_SPT_ENGINE_H
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -274,6 +275,26 @@ class SptEngine : public SecurityEngine
 
     /** Registers whose master taint shrank this cycle (Figure 9). */
     unsigned untainted_regs_this_cycle_ = 0;
+
+    /** The per-cycle counters, interned once at construction. */
+    struct Counters {
+        explicit Counters(StatSet &s);
+        /** untaint.<reason>, indexed by UntaintReason. */
+        std::array<StatSet::Counter,
+                   static_cast<std::size_t>(
+                       UntaintReason::kMapPreclear) + 1>
+            untaint_by_reason;
+        StatSet::Counter untaint_events, untaint_broadcasts;
+        StatSet::Counter knowledge_map_lookups,
+            knowledge_precleared_ops, knowledge_precleared_insts,
+            knowledge_precleared_inflight;
+        StatSet::Counter shadow_load_clears;
+        StatSet::Counter policy_load_blocked_checks,
+            policy_store_blocked_checks, mutation_leaky_gate_opens;
+        StatSet::Counter fault_broadcast_starved_cycles;
+        StatSet::HistogramHandle untaint_regs_per_cycle;
+    };
+    Counters ctr_;
 
     /** Per physical register: 1 iff the value currently bound to it
      *  has been VP-declassified (declassifyPhase read it as a

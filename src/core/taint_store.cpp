@@ -26,6 +26,10 @@ ShadowL1::ShadowL1(SetAssocCache &l1d)
     for (Entry &e : entries_)
         e.taint.assign(line_bytes_, 1);
     l1d_.setObserver(this);
+    writes_ = stats_.counter("shadow_l1.writes");
+    clears_ = stats_.counter("shadow_l1.clears");
+    fills_ = stats_.counter("shadow_l1.fills");
+    evictions_ = stats_.counter("shadow_l1.evictions");
 }
 
 ShadowL1::Entry *
@@ -83,14 +87,14 @@ ShadowL1::writeTaint(uint64_t addr, unsigned bytes,
             break;
         e->taint[a - e->line_addr] = (byte_taint >> i) & 1;
     }
-    stats_.inc("shadow_l1.writes");
+    stats_.inc(writes_);
 }
 
 void
 ShadowL1::clearTaint(uint64_t addr, unsigned bytes)
 {
     writeTaint(addr, bytes, 0);
-    stats_.inc("shadow_l1.clears");
+    stats_.inc(clears_);
 }
 
 void
@@ -101,7 +105,7 @@ ShadowL1::onFill(uint64_t line_addr, unsigned set, unsigned way)
     e.line_addr = line_addr;
     // A freshly filled line is fully tainted (Section 7.5).
     std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc("shadow_l1.fills");
+    stats_.inc(fills_);
 }
 
 void
@@ -110,7 +114,7 @@ ShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
     e.valid = false;
     std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc("shadow_l1.evictions");
+    stats_.inc(evictions_);
 }
 
 // --------------------------------------------------------------------
@@ -125,6 +129,10 @@ PackedShadowL1::PackedShadowL1(SetAssocCache &l1d)
     // All lines start fully tainted (bit set = tainted).
     taint_.assign(entries_.size() * words_per_line_, ~uint64_t{0});
     l1d_.setObserver(this);
+    writes_ = stats_.counter("shadow_l1.writes");
+    clears_ = stats_.counter("shadow_l1.clears");
+    fills_ = stats_.counter("shadow_l1.fills");
+    evictions_ = stats_.counter("shadow_l1.evictions");
 }
 
 PackedShadowL1::Entry *
@@ -192,14 +200,14 @@ PackedShadowL1::writeTaint(uint64_t addr, unsigned bytes,
         else
             words[b >> 6] &= ~bit;
     }
-    stats_.inc("shadow_l1.writes");
+    stats_.inc(writes_);
 }
 
 void
 PackedShadowL1::clearTaint(uint64_t addr, unsigned bytes)
 {
     writeTaint(addr, bytes, 0);
-    stats_.inc("shadow_l1.clears");
+    stats_.inc(clears_);
 }
 
 void
@@ -220,7 +228,7 @@ PackedShadowL1::onFill(uint64_t line_addr, unsigned set,
     e.line_addr = line_addr;
     // A freshly filled line is fully tainted (Section 7.5).
     fillLine(set, way);
-    stats_.inc("shadow_l1.fills");
+    stats_.inc(fills_);
 }
 
 void
@@ -229,7 +237,7 @@ PackedShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
     e.valid = false;
     fillLine(set, way);
-    stats_.inc("shadow_l1.evictions");
+    stats_.inc(evictions_);
 }
 
 // --------------------------------------------------------------------

@@ -101,6 +101,7 @@ class ShadowL1 : public DataTaintStore, public CacheObserver
     unsigned line_bytes_;
     std::vector<Entry> entries_;
     StatSet stats_;
+    StatSet::Counter writes_, clears_, fills_, evictions_;
 
     /** Entry holding @p addr's line, or nullptr if not resident. */
     Entry *find(uint64_t addr);
@@ -143,6 +144,7 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
      *  contiguously, entry i at [i * words_per_line_, ...). */
     std::vector<uint64_t> taint_;
     StatSet stats_;
+    StatSet::Counter writes_, clears_, fills_, evictions_;
 
     Entry *find(uint64_t addr);
     const Entry *find(uint64_t addr) const;

@@ -18,6 +18,14 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     SPT_ASSERT(isPowerOfTwo(num_sets_),
                params_.name << ": set count must be a power of two");
     lines_.assign(size_t{num_sets_} * params_.ways, Line{});
+    read_hits_ = stats_.counter("read_hits");
+    read_misses_ = stats_.counter("read_misses");
+    write_hits_ = stats_.counter("write_hits");
+    write_misses_ = stats_.counter("write_misses");
+    evictions_ = stats_.counter("evictions");
+    dirty_evictions_ = stats_.counter("dirty_evictions");
+    fills_ = stats_.counter("fills");
+    invalidations_ = stats_.counter("invalidations");
 }
 
 unsigned
@@ -88,7 +96,7 @@ SetAssocCache::access(uint64_t addr, bool is_write)
     ++tick_;
     const int w = findWay(addr);
     if (w < 0) {
-        stats_.inc(is_write ? "write_misses" : "read_misses");
+        stats_.inc(is_write ? write_misses_ : read_misses_);
         return false;
     }
     Line &line = lineAt(setOf(addr), static_cast<unsigned>(w));
@@ -99,7 +107,7 @@ SetAssocCache::access(uint64_t addr, bool is_write)
         // always silent under MESI.
         line.state = MesiState::kModified;
     }
-    stats_.inc(is_write ? "write_hits" : "read_hits");
+    stats_.inc(is_write ? write_hits_ : read_hits_);
     return true;
 }
 
@@ -138,9 +146,9 @@ SetAssocCache::fill(uint64_t addr, MesiState st)
         ev.line_addr =
             (line.tag * num_sets_ + set) * params_.line_bytes;
         ev.dirty = line.state == MesiState::kModified;
-        stats_.inc("evictions");
+        stats_.inc(evictions_);
         if (ev.dirty)
-            stats_.inc("dirty_evictions");
+            stats_.inc(dirty_evictions_);
         if (observer_)
             observer_->onEvict(ev.line_addr, set, victim);
     }
@@ -148,7 +156,7 @@ SetAssocCache::fill(uint64_t addr, MesiState st)
     line.tag = tagOf(addr);
     line.lru = tick_;
     line.state = st;
-    stats_.inc("fills");
+    stats_.inc(fills_);
     if (observer_)
         observer_->onFill(lineAddr(addr), set, victim);
     return ev;
@@ -165,7 +173,7 @@ SetAssocCache::invalidate(uint64_t addr)
     const bool dirty = line.state == MesiState::kModified;
     line.valid = false;
     line.state = MesiState::kInvalid;
-    stats_.inc("invalidations");
+    stats_.inc(invalidations_);
     if (observer_)
         observer_->onEvict(lineAddr(addr), set,
                            static_cast<unsigned>(w));

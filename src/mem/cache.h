@@ -107,6 +107,9 @@ class SetAssocCache
     uint64_t tick_ = 0;
     CacheObserver *observer_ = nullptr;
     StatSet stats_;
+    StatSet::Counter read_hits_, read_misses_, write_hits_,
+        write_misses_, evictions_, dirty_evictions_, fills_,
+        invalidations_;
 
     uint64_t tagOf(uint64_t addr) const;
     Line &lineAt(unsigned set, unsigned way);

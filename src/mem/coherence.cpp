@@ -8,6 +8,12 @@ MesiDirectory::MesiDirectory(unsigned num_agents)
     : num_agents_(num_agents)
 {
     SPT_ASSERT(num_agents_ <= 32, "directory supports up to 32 agents");
+    gets_ = stats_.counter("gets");
+    getm_ = stats_.counter("getm");
+    puts_ = stats_.counter("puts");
+    owner_writebacks_ = stats_.counter("owner_writebacks");
+    invalidations_sent_ = stats_.counter("invalidations_sent");
+    dirty_writebacks_ = stats_.counter("dirty_writebacks");
 }
 
 void
@@ -20,7 +26,7 @@ MesiDirectory::Response
 MesiDirectory::getShared(unsigned agent, uint64_t line_addr)
 {
     checkAgent(agent);
-    stats_.inc("gets");
+    stats_.inc(gets_);
     DirEntry &e = dir_[line_addr];
     Response resp;
     const uint32_t bit = 1u << agent;
@@ -36,7 +42,7 @@ MesiDirectory::getShared(unsigned agent, uint64_t line_addr)
         // Downgrade the owner to Shared; it supplies the data.
         resp.from_owner = true;
         if (e.modified)
-            stats_.inc("owner_writebacks");
+            stats_.inc(owner_writebacks_);
         e.modified = false;
         e.owner = -1;
     }
@@ -54,20 +60,20 @@ MesiDirectory::Response
 MesiDirectory::getModified(unsigned agent, uint64_t line_addr)
 {
     checkAgent(agent);
-    stats_.inc("getm");
+    stats_.inc(getm_);
     DirEntry &e = dir_[line_addr];
     Response resp;
     const uint32_t bit = 1u << agent;
     if (e.owner >= 0 && e.owner != static_cast<int>(agent)) {
         resp.from_owner = true;
         if (e.modified)
-            stats_.inc("owner_writebacks");
+            stats_.inc(owner_writebacks_);
     }
     // Invalidate all other sharers.
     for (unsigned a = 0; a < num_agents_; ++a) {
         if (a != agent && (e.sharers & (1u << a))) {
             resp.invalidated.push_back(a);
-            stats_.inc("invalidations_sent");
+            stats_.inc(invalidations_sent_);
         }
     }
     e.sharers = bit;
@@ -88,13 +94,13 @@ MesiDirectory::putLine(unsigned agent, uint64_t line_addr)
     e.sharers &= ~(1u << agent);
     if (e.owner == static_cast<int>(agent)) {
         if (e.modified)
-            stats_.inc("dirty_writebacks");
+            stats_.inc(dirty_writebacks_);
         e.owner = -1;
         e.modified = false;
     }
     if (e.sharers == 0)
         dir_.erase(it);
-    stats_.inc("puts");
+    stats_.inc(puts_);
 }
 
 MesiState

@@ -61,6 +61,8 @@ class MesiDirectory
     unsigned num_agents_;
     std::unordered_map<uint64_t, DirEntry> dir_;
     StatSet stats_;
+    StatSet::Counter gets_, getm_, puts_, owner_writebacks_,
+        invalidations_sent_, dirty_writebacks_;
 
     void checkAgent(unsigned agent) const;
 };

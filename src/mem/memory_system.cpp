@@ -10,6 +10,16 @@ MemorySystem::MemorySystem(const MemorySystemParams &params)
       noc_(4, 2, 1, 0, 7, params.l3.line_bytes),
       directory_(params.num_agents)
 {
+    l1_hits_ = stats_.counter("l1_hits");
+    l1_hits_under_fill_ = stats_.counter("l1_hits_under_fill");
+    l1_misses_ = stats_.counter("l1_misses");
+    mshr_rejects_ = stats_.counter("mshr_rejects");
+    mshr_merges_ = stats_.counter("mshr_merges");
+    fault_evictions_ = stats_.counter("fault.evictions");
+    fault_mshr_stalls_ = stats_.counter("fault.mshr_stalls");
+    for (unsigned level = 2; level < hits_level_.size(); ++level)
+        hits_level_[level] =
+            stats_.counter("hits_level_" + std::to_string(level));
 }
 
 MemAccessResult
@@ -31,7 +41,7 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         l2_.invalidate(addr);
         l3_.invalidate(addr);
         directory_.putLine(kCoreAgent, l3_.lineAddr(addr));
-        stats_.inc("fault.evictions");
+        stats_.inc(fault_evictions_);
     }
 
     unsigned latency = l1.params().latency;
@@ -48,10 +58,10 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
             if (remaining > 0) {
                 result.latency = static_cast<unsigned>(
                     remaining + l1.params().latency);
-                stats_.inc("l1_hits_under_fill");
+                stats_.inc(l1_hits_under_fill_);
             }
         }
-        stats_.inc("l1_hits");
+        stats_.inc(l1_hits_);
         return result;
     }
 
@@ -79,13 +89,13 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         if (faults_ && faults_->fire(FaultSite::kMshrStall)) {
             // Synthetic MSHR-file pressure: reject as if full; the
             // LSU retries (same path as a genuine reject).
-            stats_.inc("fault.mshr_stalls");
+            stats_.inc(fault_mshr_stalls_);
             return {false, 0, 0};
         }
         const auto alloc =
             mshrs_.allocate(line, now, now + latency);
         if (!alloc.accepted) {
-            stats_.inc("mshr_rejects");
+            stats_.inc(mshr_rejects_);
             // The L2/L3 lookups above already refreshed LRU state;
             // that is acceptable modeling noise for a retried access.
             return {false, 0, 0};
@@ -94,7 +104,7 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
             latency = static_cast<unsigned>(
                 alloc.ready_cycle > now ? alloc.ready_cycle - now
                                         : 1);
-            stats_.inc("mshr_merges");
+            stats_.inc(mshr_merges_);
         }
     }
 
@@ -114,8 +124,8 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
 
     result.latency = latency;
     result.hit_level = hit_level;
-    stats_.inc("l1_misses");
-    stats_.inc("hits_level_" + std::to_string(hit_level));
+    stats_.inc(l1_misses_);
+    stats_.inc(hits_level_[hit_level]);
     return result;
 }
 

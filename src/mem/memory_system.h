@@ -15,6 +15,7 @@
 #ifndef SPT_MEM_MEMORY_SYSTEM_H
 #define SPT_MEM_MEMORY_SYSTEM_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -100,6 +101,12 @@ class MemorySystem
     MeshNoc noc_;
     MesiDirectory directory_;
     StatSet stats_;
+    StatSet::Counter l1_hits_, l1_hits_under_fill_, l1_misses_,
+        mshr_rejects_, mshr_merges_, fault_evictions_,
+        fault_mshr_stalls_;
+    /** hits_level_<n> for the levels a miss can be filled from
+     *  (2 = L2, 3 = L3, 4 = DRAM); index 0 and 1 unused. */
+    std::array<StatSet::Counter, 5> hits_level_;
 };
 
 } // namespace spt

@@ -5,6 +5,9 @@ namespace spt {
 MshrFile::MshrFile(unsigned num_entries)
     : capacity_(num_entries)
 {
+    merges_ = stats_.counter("merges");
+    rejects_ = stats_.counter("rejects");
+    allocations_ = stats_.counter("allocations");
 }
 
 bool
@@ -32,16 +35,16 @@ MshrFile::allocate(uint64_t line_addr, uint64_t now,
     tick(now);
     for (const Entry &e : entries_) {
         if (e.line_addr == line_addr) {
-            stats_.inc("merges");
+            stats_.inc(merges_);
             return {true, true, e.ready_cycle};
         }
     }
     if (entries_.size() >= capacity_) {
-        stats_.inc("rejects");
+        stats_.inc(rejects_);
         return {false, false, 0};
     }
     entries_.push_back({line_addr, fill_cycle});
-    stats_.inc("allocations");
+    stats_.inc(allocations_);
     return {true, false, fill_cycle};
 }
 

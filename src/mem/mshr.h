@@ -62,6 +62,7 @@ class MshrFile
     unsigned capacity_;
     std::vector<Entry> entries_;
     StatSet stats_;
+    StatSet::Counter merges_, rejects_, allocations_;
 };
 
 } // namespace spt

@@ -184,13 +184,15 @@ class Snapshotter::Codec
     static void
     putStats(Writer &w, const StatSet &s)
     {
-        w.u64(s.counters_.size());
-        for (const auto &[name, value] : s.counters_) {
+        const std::map<std::string, uint64_t> counters = s.counters();
+        w.u64(counters.size());
+        for (const auto &[name, value] : counters) {
             w.str(name);
             w.u64(value);
         }
-        w.u64(s.histograms_.size());
-        for (const auto &[name, h] : s.histograms_) {
+        const std::map<std::string, Histogram> hists = s.histograms();
+        w.u64(hists.size());
+        for (const auto &[name, h] : hists) {
             w.str(name);
             w.u64(h.buckets_.size());
             for (const uint64_t bkt : h.buckets_)
@@ -204,12 +206,13 @@ class Snapshotter::Codec
     static void
     getStats(Reader &r, StatSet &s)
     {
-        s.counters_.clear();
-        s.histograms_.clear();
+        // By name through the public API, so the handles the
+        // restored components registered stay valid.
+        s.reset();
         const uint64_t nc = r.u64();
         for (uint64_t i = 0; i < nc; ++i) {
             const std::string name = r.str();
-            s.counters_[name] = r.u64();
+            s.set(name, r.u64());
         }
         const uint64_t nh = r.u64();
         for (uint64_t i = 0; i < nh; ++i) {
@@ -223,7 +226,7 @@ class Snapshotter::Codec
             h.samples_ = r.u64();
             h.sum_ = r.u64();
             h.max_ = r.u64();
-            s.histograms_.emplace(name, h);
+            s.histogram(name, buckets) = h;
         }
     }
 

@@ -7,12 +7,52 @@
 
 namespace spt {
 
+Core::Counters::Counters(StatSet &s)
+    : fetch_instructions(s.counter("fetch.instructions")),
+      fetch_invalid_pc_stalls(s.counter("fetch.invalid_pc_stalls")),
+      fetch_icache_miss_stalls(s.counter("fetch.icache_miss_stalls")),
+      rename_instructions(s.counter("rename.instructions")),
+      rename_rob_full(s.counter("rename.rob_full")),
+      rename_no_phys_regs(s.counter("rename.no_phys_regs")),
+      rename_lq_full(s.counter("rename.lq_full")),
+      rename_sq_full(s.counter("rename.sq_full")),
+      rename_rs_full(s.counter("rename.rs_full")),
+      issue_instructions(s.counter("issue.instructions")),
+      fault_issue_stall_cycles(s.counter("fault.issue_stall_cycles")),
+      branch_mispredicts(s.counter("branch.mispredicts")),
+      branch_correct(s.counter("branch.correct")),
+      fault_extra_squashes(s.counter("fault.extra_squashes")),
+      commit_instructions(s.counter("commit.instructions")),
+      squash_control(s.counter("squash.control")),
+      squash_mem_violation(s.counter("squash.mem_violation")),
+      squash_instructions(s.counter("squash.instructions")),
+      lsu_store_policy_delays(s.counter("lsu.store_policy_delays")),
+      lsu_store_translations(s.counter("lsu.store_translations")),
+      lsu_load_policy_delay_cycles(
+          s.counter("lsu.load_policy_delay_cycles")),
+      lsu_load_dep_stall_cycles(s.counter("lsu.load_dep_stall_cycles")),
+      lsu_store_set_stall_cycles(
+          s.counter("lsu.store_set_stall_cycles")),
+      lsu_partial_overlap_stall_cycles(
+          s.counter("lsu.partial_overlap_stall_cycles")),
+      lsu_forwards_public(s.counter("lsu.forwards_public")),
+      lsu_forwards_hidden(s.counter("lsu.forwards_hidden")),
+      lsu_mshr_retries(s.counter("lsu.mshr_retries")),
+      lsu_load_accesses(s.counter("lsu.load_accesses")),
+      lsu_violations_detected(s.counter("lsu.violations_detected")),
+      fault_stl_denials(s.counter("fault.stl_denials")),
+      ff_skipped_cycles(s.counter("ff.skipped_cycles")),
+      ff_windows(s.counter("ff.windows"))
+{
+}
+
 Core::Core(Program program, const CoreParams &params,
            const MemorySystemParams &mem_params,
            std::unique_ptr<SecurityEngine> engine)
     : program_(std::move(program)), params_(params),
       memsys_(mem_params), engine_(std::move(engine)),
-      prf_(params.num_phys_regs), fetch_pc_(program_.entry())
+      prf_(params.num_phys_regs), ctr_(stats_),
+      fetch_pc_(program_.entry())
 {
     SPT_ASSERT(engine_ != nullptr, "core needs a security engine");
     program_.loadInto(mem_);
@@ -29,13 +69,13 @@ Core::archReg(unsigned arch) const
     return prf_.value(rat_.lookup(static_cast<uint8_t>(arch)));
 }
 
-DynInstPtr
+const DynInst *
 Core::findInst(SeqNum seq) const
 {
-    for (const DynInstPtr &d : rob_)
-        if (d->seq == seq)
-            return d;
-    return nullptr;
+    const auto it = std::lower_bound(
+        rob_.begin(), rob_.end(), seq,
+        [](const DynInstPtr &d, SeqNum s) { return d->seq < s; });
+    return it != rob_.end() && (*it)->seq == seq ? it->get() : nullptr;
 }
 
 uint64_t
@@ -225,7 +265,7 @@ Core::quiescentCycle() const
         if (operandsReady(*d))
             return false;
     // Squash gates (stats-pure on every engine).
-    for (const DynInstPtr &d : rob_) {
+    for (const DynInstPtr &d : pending_squashes_) {
         if (d->squash_pending && engine_->mayResolveBranch(*d))
             return false;
         if (d->mem_violation_pending &&
@@ -259,7 +299,7 @@ Core::accrueSkippedCycles(uint64_t k)
     // Exactly the stat charges k blocked ticks would have made, in
     // bulk. Structured like tick(): squash gates, then the LSU, then
     // rename and fetch stalls.
-    for (const DynInstPtr &d : rob_) {
+    for (const DynInstPtr &d : pending_squashes_) {
         if (d->squash_pending)
             delay_branch_cycles_ += k;
         if (d->mem_violation_pending)
@@ -269,7 +309,7 @@ Core::accrueSkippedCycles(uint64_t k)
         if (!st->addr_known || st->completed || st->squashed)
             continue;
         delay_mem_cycles_ += k;
-        stats_.inc("lsu.store_policy_delays", k);
+        stats_.inc(ctr_.lsu_store_policy_delays, k);
         engine_->accrueBlockedTransmit(*st, DelayKind::kMemAccess,
                                        k);
         break;
@@ -279,21 +319,22 @@ Core::accrueSkippedCycles(uint64_t k)
             ld->mem_violation_pending)
             continue;
         delay_mem_cycles_ += k;
-        stats_.inc("lsu.load_policy_delay_cycles", k);
+        stats_.inc(ctr_.lsu_load_policy_delay_cycles, k);
         engine_->accrueBlockedTransmit(*ld, DelayKind::kMemAccess,
                                        k);
     }
     if (!fetch_queue_.empty()) {
         const FetchEntry &fe = fetch_queue_.front();
         if (fe.ready_cycle <= cycle_)
-            if (const char *stat = renameHazardStat(*fe.inst))
-                stats_.inc(stat, k);
+            if (const StatSet::Counter *stat =
+                    renameHazardStat(*fe.inst))
+                stats_.inc(*stat, k);
     }
     if (cycle_ >= fetch_stall_until_ &&
         fetch_queue_.size() < params_.fetch_queue_size &&
         !program_.validPc(fetch_pc_))
-        stats_.inc("fetch.invalid_pc_stalls", k);
-    stats_.inc("ff.skipped_cycles", k);
+        stats_.inc(ctr_.fetch_invalid_pc_stalls, k);
+    stats_.inc(ctr_.ff_skipped_cycles, k);
 }
 
 uint64_t
@@ -321,7 +362,7 @@ Core::tryFastForward(uint64_t max_cycles,
     const uint64_t skipped = wake - 1 - cycle_;
     accrueSkippedCycles(skipped);
     cycle_ += skipped;
-    stats_.inc("ff.windows");
+    stats_.inc(ctr_.ff_windows);
     return skipped;
 }
 
@@ -351,7 +392,7 @@ Core::fetchStage()
         if (!program_.validPc(pc)) {
             // Wrong-path fetch ran off the program; wait for a
             // redirect.
-            stats_.inc("fetch.invalid_pc_stalls");
+            stats_.inc(ctr_.fetch_invalid_pc_stalls);
             break;
         }
         const uint64_t line = pc * kInstrBytes / line_bytes;
@@ -361,7 +402,7 @@ Core::fetchStage()
             if (res.hit_level > 1) {
                 // Miss: stall until the fill arrives, then refetch.
                 fetch_stall_until_ = cycle_ + res.latency;
-                stats_.inc("fetch.icache_miss_stalls");
+                stats_.inc(ctr_.fetch_icache_miss_stalls);
                 break;
             }
             cur_line = line;
@@ -394,7 +435,7 @@ Core::fetchStage()
 
         fetch_queue_.push_back(
             {d, cycle_ + icache_latency + params_.frontend_extra_delay});
-        stats_.inc("fetch.instructions");
+        stats_.inc(ctr_.fetch_instructions);
         if (observer_)
             observer_->fetch(cycle_, *d);
 
@@ -425,21 +466,21 @@ needsReservationStation(const DynInst &d)
 
 } // namespace
 
-const char *
+const StatSet::Counter *
 Core::renameHazardStat(const DynInst &d) const
 {
     // Check order matches the charge order below: the first failing
     // structural check is the one billed per stalled cycle.
     if (rob_.size() >= params_.rob_size)
-        return "rename.rob_full";
+        return &ctr_.rename_rob_full;
     if (d.has_dest && !prf_.hasFree())
-        return "rename.no_phys_regs";
+        return &ctr_.rename_no_phys_regs;
     if (d.is_load && lq_.size() >= params_.lq_size)
-        return "rename.lq_full";
+        return &ctr_.rename_lq_full;
     if (d.is_store && sq_.size() >= params_.sq_size)
-        return "rename.sq_full";
+        return &ctr_.rename_sq_full;
     if (needsReservationStation(d) && rs_.size() >= params_.rs_size)
-        return "rename.rs_full";
+        return &ctr_.rename_rs_full;
     return nullptr;
 }
 
@@ -455,8 +496,8 @@ Core::renameDispatchStage()
         DynInstPtr d = fe.inst;
 
         // Structural hazards.
-        if (const char *hazard = renameHazardStat(*d)) {
-            stats_.inc(hazard);
+        if (const StatSet::Counter *hazard = renameHazardStat(*d)) {
+            stats_.inc(*hazard);
             break;
         }
         const bool needs_rs = needsReservationStation(*d);
@@ -495,7 +536,7 @@ Core::renameDispatchStage()
             d->actual_next_pc = d->pred_next_pc;
         }
         fetch_queue_.pop_front();
-        stats_.inc("rename.instructions");
+        stats_.inc(ctr_.rename_instructions);
     }
 }
 
@@ -510,7 +551,7 @@ Core::issueStage()
     if (faults_ && faults_->fire(FaultSite::kIssueJitter)) {
         // Scheduler jitter: nothing issues this cycle.
         issue_width = 0;
-        stats_.inc("fault.issue_stall_cycles");
+        stats_.inc(ctr_.fault_issue_stall_cycles);
     }
     unsigned issued = 0;
     // rs_ is kept in program order (dispatch order); oldest first.
@@ -521,7 +562,7 @@ Core::issueStage()
             continue;
         d->issued = true;
         ++issued;
-        stats_.inc("issue.instructions");
+        stats_.inc(ctr_.issue_instructions);
         if (observer_)
             observer_->issue(cycle_, *d);
 
@@ -588,9 +629,10 @@ Core::completeInst(const DynInstPtr &d)
         if (d->actual_next_pc != d->pred_next_pc) {
             d->mispredicted = true;
             d->squash_pending = true;
-            stats_.inc("branch.mispredicts");
+            addPendingSquash(d);
+            stats_.inc(ctr_.branch_mispredicts);
         } else {
-            stats_.inc("branch.correct");
+            stats_.inc(ctr_.branch_correct);
             if (faults_ && d->is_squash_source &&
                 faults_->fire(FaultSite::kExtraSquash)) {
                 // Forced squash of a correctly predicted branch:
@@ -600,7 +642,8 @@ Core::completeInst(const DynInstPtr &d)
                 // them as unresolved until squash_pending clears,
                 // so no instruction past the VP is ever squashed.
                 d->squash_pending = true;
-                stats_.inc("fault.extra_squashes");
+                addPendingSquash(d);
+                stats_.inc(ctr_.fault_extra_squashes);
             }
         }
     }

@@ -133,8 +133,17 @@ class Core
     const std::vector<DynInstPtr> &loadQueue() const { return lq_; }
     const std::vector<DynInstPtr> &storeQueue() const { return sq_; }
 
-    /** Finds an in-flight (non-squashed) instruction by seq. */
-    DynInstPtr findInst(SeqNum seq) const;
+    /** Finds an in-flight (non-squashed) instruction by seq: a
+     *  binary search, since the ROB is in strictly increasing seq
+     *  order. Null if @p seq is not in the ROB. */
+    const DynInst *findInst(SeqNum seq) const;
+
+    /** The ROB entries with squash_pending or mem_violation_pending
+     *  set, in seq order (the squash gates' work list). */
+    const std::vector<DynInstPtr> &pendingSquashes() const
+    {
+        return pending_squashes_;
+    }
 
     MemorySystem &memorySystem() { return memsys_; }
     ByteMemory &memory() { return mem_; }
@@ -191,6 +200,29 @@ class Core
         uint64_t ready_cycle;
     };
 
+    /** The per-cycle counters, interned once at construction. */
+    struct Counters {
+        explicit Counters(StatSet &s);
+        StatSet::Counter fetch_instructions, fetch_invalid_pc_stalls,
+            fetch_icache_miss_stalls;
+        StatSet::Counter rename_instructions, rename_rob_full,
+            rename_no_phys_regs, rename_lq_full, rename_sq_full,
+            rename_rs_full;
+        StatSet::Counter issue_instructions, fault_issue_stall_cycles;
+        StatSet::Counter branch_mispredicts, branch_correct,
+            fault_extra_squashes;
+        StatSet::Counter commit_instructions;
+        StatSet::Counter squash_control, squash_mem_violation,
+            squash_instructions;
+        StatSet::Counter lsu_store_policy_delays,
+            lsu_store_translations, lsu_load_policy_delay_cycles,
+            lsu_load_dep_stall_cycles, lsu_store_set_stall_cycles,
+            lsu_partial_overlap_stall_cycles, lsu_forwards_public,
+            lsu_forwards_hidden, lsu_mshr_retries, lsu_load_accesses,
+            lsu_violations_detected, fault_stl_denials;
+        StatSet::Counter ff_skipped_cycles, ff_windows;
+    };
+
     Program program_;
     CoreParams params_;
     MemorySystem memsys_;
@@ -201,6 +233,7 @@ class Core
     RenameMap rat_;
     StoreSetPredictor store_sets_;
     StatSet stats_;
+    Counters ctr_;
 
     uint64_t cycle_ = 0;
     uint64_t retired_ = 0;
@@ -233,6 +266,11 @@ class Core
     std::vector<DynInstPtr> lq_;
     std::vector<DynInstPtr> sq_;
     std::multimap<uint64_t, DynInstPtr> completion_events_;
+    /** Flagged ROB entries in seq order (see pendingSquashes()):
+     *  added where a flag is set, removed where it is cleared or the
+     *  entry is squashed. Flagged entries cannot commit, so nothing
+     *  leaves the list at retire. */
+    std::vector<DynInstPtr> pending_squashes_;
 
     CommitHook commit_hook_;
 
@@ -260,7 +298,7 @@ class Core
                             uint64_t last_progress_cycle);
     /** Stat charged if renaming @p d would stall on a structural
      *  hazard right now, or nullptr if it would proceed. */
-    const char *renameHazardStat(const DynInst &d) const;
+    const StatSet::Counter *renameHazardStat(const DynInst &d) const;
 
     // --- helpers -------------------------------------------------------
     /** Charges one policy-gated stall cycle of @p d to @p kind: bumps
@@ -273,6 +311,9 @@ class Core
     void completeLoadData(const DynInstPtr &d);
     bool tryLoadAccess(const DynInstPtr &d);
     void checkViolationsFromStore(const DynInstPtr &st);
+    /** Enters @p d, whose first squash flag was just set, into
+     *  pending_squashes_ at its seq position. */
+    void addPendingSquash(const DynInstPtr &d);
     void performControlSquash(const DynInstPtr &branch);
     void performMemSquash(const DynInstPtr &load);
     void squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,

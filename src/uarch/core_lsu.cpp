@@ -40,13 +40,13 @@ Core::memStage()
             continue;
         if (!engine_->mayAccessMemory(*st)) {
             noteTransmitterDelay(*st, DelayKind::kMemAccess);
-            stats_.inc("lsu.store_policy_delays");
+            stats_.inc(ctr_.lsu_store_policy_delays);
             break; // stores translate in order
         }
         st->access_done = true;
         st->completed = true;
         --store_ports;
-        stats_.inc("lsu.store_translations");
+        stats_.inc(ctr_.lsu_store_translations);
         if (observer_) {
             observer_->gateOpened(cycle_, *st, DelayKind::kMemAccess);
             observer_->memAccess(cycle_, *st);
@@ -63,7 +63,7 @@ Core::memStage()
             continue;
         if (!engine_->mayAccessMemory(*ld)) {
             noteTransmitterDelay(*ld, DelayKind::kMemAccess);
-            stats_.inc("lsu.load_policy_delay_cycles");
+            stats_.inc(ctr_.lsu_load_policy_delay_cycles);
             continue;
         }
         if (tryLoadAccess(ld))
@@ -89,13 +89,13 @@ Core::tryLoadAccess(const DynInstPtr &ld)
             continue;
         if (!st->addr_known) {
             if (!params_.mem_dep_speculation) {
-                stats_.inc("lsu.load_dep_stall_cycles");
+                stats_.inc(ctr_.lsu_load_dep_stall_cycles);
                 return false;
             }
             if (ld->wait_store_seq != 0 &&
                 st->seq == ld->wait_store_seq) {
                 // Store-set predicted dependence: wait for it.
-                stats_.inc("lsu.store_set_stall_cycles");
+                stats_.inc(ctr_.lsu_store_set_stall_cycles);
                 return false;
             }
             unknown_addr_seen = true;
@@ -110,7 +110,7 @@ Core::tryLoadAccess(const DynInstPtr &ld)
             break;
         }
         // Partial overlap: wait until the store drains to memory.
-        stats_.inc("lsu.partial_overlap_stall_cycles");
+        stats_.inc(ctr_.lsu_partial_overlap_stall_cycles);
         return false;
     }
 
@@ -126,37 +126,37 @@ Core::tryLoadAccess(const DynInstPtr &ld)
             // The data is still forwarded from the store — only the
             // latency (and cache state) changes.
             fast_path = false;
-            stats_.inc("fault.stl_denials");
+            stats_.inc(ctr_.fault_stl_denials);
         }
         if (fast_path) {
             // Ordinary forwarding fast path, no cache access.
             latency = memsys_.l1d().params().latency;
-            stats_.inc("lsu.forwards_public");
+            stats_.inc(ctr_.lsu_forwards_public);
         } else {
             // Hide the forwarding decision: access the cache anyway
             // and ignore the returned data (Section 6.7).
             const MemAccessResult res = memsys_.access(
                 ld->eff_addr, AccessKind::kLoad, cycle_);
             if (!res.accepted) {
-                stats_.inc("lsu.mshr_retries");
+                stats_.inc(ctr_.lsu_mshr_retries);
                 ld->forwarded = false;
                 ld->forwarding_store = 0;
                 return false;
             }
             latency = res.latency;
-            stats_.inc("lsu.forwards_hidden");
+            stats_.inc(ctr_.lsu_forwards_hidden);
         }
     } else {
         const MemAccessResult res =
             memsys_.access(ld->eff_addr, AccessKind::kLoad, cycle_);
         if (!res.accepted) {
-            stats_.inc("lsu.mshr_retries");
+            stats_.inc(ctr_.lsu_mshr_retries);
             return false;
         }
         latency = res.latency;
         if (unknown_addr_seen)
             ld->speculated_past_store = true;
-        stats_.inc("lsu.load_accesses");
+        stats_.inc(ctr_.lsu_load_accesses);
     }
 
     ld->access_done = true;
@@ -173,7 +173,7 @@ Core::completeLoadData(const DynInstPtr &ld)
 {
     uint64_t raw;
     if (ld->forwarded) {
-        const DynInstPtr st = findInst(ld->forwarding_store);
+        const DynInst *st = findInst(ld->forwarding_store);
         if (st) {
             raw = st->store_data >>
                   (8 * (ld->eff_addr - st->eff_addr));
@@ -216,8 +216,9 @@ Core::checkViolationsFromStore(const DynInstPtr &st)
         if (ld->forwarded && ld->forwarding_store > st->seq)
             continue;
         ld->mem_violation_pending = true;
+        addPendingSquash(ld);
         ld->violating_store_pc = st->pc;
-        stats_.inc("lsu.violations_detected");
+        stats_.inc(ctr_.lsu_violations_detected);
     }
 }
 

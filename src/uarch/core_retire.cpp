@@ -55,7 +55,7 @@ Core::commitStage()
             observer_->retired(cycle_, *d);
         rob_.pop_front();
         ++retired_;
-        stats_.inc("commit.instructions");
+        stats_.inc(ctr_.commit_instructions);
 
         if (d->si.op == Opcode::kHalt) {
             halted_ = true;
@@ -78,7 +78,10 @@ Core::handleSquashes()
     // candidate older than the performed squash is charged one delay
     // cycle (candidates younger than it are squashed this cycle and
     // charge nothing — the same engine queries fire either way).
-    for (const DynInstPtr &d : rob_) {
+    // Only flagged entries are visited, in ROB order; the copy keeps
+    // the entry alive while a squash edits the list.
+    for (std::size_t i = 0; i < pending_squashes_.size(); ++i) {
+        const DynInstPtr d = pending_squashes_[i];
         if (d->squash_pending) {
             if (engine_->mayResolveBranch(*d)) {
                 performControlSquash(d);
@@ -100,18 +103,24 @@ void
 Core::performControlSquash(const DynInstPtr &branch)
 {
     branch->squash_pending = false;
-    stats_.inc("squash.control");
+    stats_.inc(ctr_.squash_control);
     if (observer_)
         observer_->gateOpened(cycle_, *branch,
                               DelayKind::kBranchResolve);
     squashFrom(branch->seq + 1, branch->actual_next_pc, branch);
+    // squashFrom dropped every younger entry, so the branch is last
+    // (a branch never carries mem_violation_pending).
+    SPT_ASSERT(!pending_squashes_.empty() &&
+                   pending_squashes_.back() == branch,
+               "pending-squash list out of sync");
+    pending_squashes_.pop_back();
     bpu_.repair(branch->pc, branch->si, branch->exec.is_taken);
 }
 
 void
 Core::performMemSquash(const DynInstPtr &load)
 {
-    stats_.inc("squash.mem_violation");
+    stats_.inc(ctr_.squash_mem_violation);
     if (observer_)
         observer_->gateOpened(cycle_, *load,
                               DelayKind::kMemOrderSquash);
@@ -167,8 +176,11 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         if (d->is_store)
             store_sets_.storeRemoved(d->pc, d->seq);
         rob_.pop_back();
-        stats_.inc("squash.instructions");
+        stats_.inc(ctr_.squash_instructions);
     }
+    while (!pending_squashes_.empty() &&
+           pending_squashes_.back()->seq >= first_squashed)
+        pending_squashes_.pop_back();
     std::erase_if(rs_, [first_squashed](const DynInstPtr &d) {
         return d->seq >= first_squashed;
     });
@@ -188,6 +200,16 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
 
     fetch_pc_ = new_fetch_pc;
     fetch_stall_until_ = cycle_ + params_.redirect_penalty;
+}
+
+void
+Core::addPendingSquash(const DynInstPtr &d)
+{
+    // Completions arrive out of order, so insert at the seq position.
+    const auto it = std::upper_bound(
+        pending_squashes_.begin(), pending_squashes_.end(), d->seq,
+        [](SeqNum s, const DynInstPtr &e) { return s < e->seq; });
+    pending_squashes_.insert(it, d);
 }
 
 // --------------------------------------------------------------------

@@ -296,6 +296,11 @@ InvariantChecker::checkStructure(uint64_t cycle)
                   "ROB holds " + std::to_string(rob.size()) +
                       " > capacity " + std::to_string(p.rob_size),
                   cycle, nullptr);
+    // The squash gates' work list must be exactly the flagged ROB
+    // entries, in ROB order: matched against them in the same walk.
+    const std::vector<DynInstPtr> &pending = core_.pendingSquashes();
+    std::size_t listed = 0;
+    bool worklist_ok = true;
     SeqNum prev = 0;
     for (const DynInstPtr &d : rob) {
         if (d->seq <= prev) {
@@ -312,7 +317,20 @@ InvariantChecker::checkStructure(uint64_t cycle)
                << " does not resolve to its instruction";
             violation("taint-index", os.str(), cycle, d.get());
         }
+        if (worklist_ok &&
+            (d->squash_pending || d->mem_violation_pending)) {
+            worklist_ok =
+                listed < pending.size() && pending[listed] == d;
+            ++listed;
+        }
     }
+    if (!worklist_ok || listed != pending.size())
+        violation("squash-worklist",
+                  "pending-squash list (" +
+                      std::to_string(pending.size()) +
+                      " entries) differs from the flagged ROB "
+                      "entries",
+                  cycle, nullptr);
 
     const auto in_rob = [&rob](const DynInstPtr &d) {
         const auto it = std::lower_bound(

@@ -17,7 +17,9 @@
  *  - taint conservation: observed untaint events must equal the
  *    engine's own `untaint.events` counter at the end of the run;
  *  - structural consistency, every cycle: ROB within capacity and
- *    seq-sorted, LQ/SQ within capacity and subsets of the ROB,
+ *    seq-sorted, the core's pending-squash work list equal to the
+ *    flagged ROB entries, LQ/SQ within capacity and subsets of the
+ *    ROB,
  *    engine taint slots resolve to their owning instruction
  *    (SecurityEngine::taintStateConsistent), and the broadcast
  *    queue is bounded by 3 flags per ROB entry.

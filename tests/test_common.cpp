@@ -14,6 +14,8 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "sim/simulator.h"
+#include "workloads/workloads.h"
 
 namespace spt {
 namespace {
@@ -151,6 +153,128 @@ TEST(Stats, CountersBasics)
     EXPECT_EQ(s.get("b"), 10u);
     s.reset();
     EXPECT_EQ(s.get("a"), 0u);
+}
+
+TEST(Stats, UntouchedHandleIsInvisible)
+{
+    // Registering a name must not create the counter: every reader
+    // sees exactly the names that were written.
+    StatSet s;
+    s.counter("quiet");
+    s.histogramHandle("quiet_hist", 8);
+    s.inc("loud");
+    EXPECT_EQ(s.counters(),
+              (std::map<std::string, uint64_t>{{"loud", 1}}));
+    EXPECT_TRUE(s.histograms().empty());
+    std::ostringstream text;
+    s.dump(text);
+    EXPECT_EQ(text.str(), "loud 1\n");
+    JsonWriter jw;
+    s.dumpJson(jw);
+    EXPECT_EQ(jw.str().find("quiet"), std::string::npos) << jw.str();
+}
+
+TEST(Stats, IncByZeroCreatesTheKey)
+{
+    StatSet s;
+    const StatSet::Counter c = s.counter("zero");
+    s.inc(c, 0);
+    EXPECT_EQ(s.counters(),
+              (std::map<std::string, uint64_t>{{"zero", 0}}));
+}
+
+TEST(Stats, HandleAndStringIncSumIntoOneCounter)
+{
+    StatSet s;
+    const StatSet::Counter c = s.counter("mixed");
+    s.inc(c);
+    s.inc("mixed", 2);
+    s.inc(c, 4);
+    EXPECT_EQ(s.get("mixed"), 7u);
+    EXPECT_EQ(s.counters().size(), 1u);
+    // A name first written by string and interned later resolves to
+    // the same slot.
+    s.inc("late", 3);
+    s.inc(s.counter("late"));
+    EXPECT_EQ(s.get("late"), 4u);
+
+    const StatSet::HistogramHandle h = s.histogramHandle("lat", 8);
+    s.histogram(h).record(2);
+    s.histogram("lat").record(5);
+    EXPECT_EQ(s.histograms().at("lat").samples(), 2u);
+    EXPECT_EQ(s.histograms().at("lat").numBuckets(), 8u);
+}
+
+TEST(Stats, HandlesSurviveResetAndCopyAssignment)
+{
+    StatSet s;
+    const StatSet::Counter a = s.counter("a");
+    const StatSet::Counter b = s.counter("b");
+    s.inc(a, 5);
+    s.reset();
+    EXPECT_TRUE(s.counters().empty());
+    s.inc(b);
+    EXPECT_EQ(s.counters(), (std::map<std::string, uint64_t>{{"b", 1}}));
+
+    // Assigning another set's contents keeps this set's handles
+    // pointing at their own names, whatever the other set's layout.
+    StatSet other;
+    other.inc("z", 9);
+    other.inc("a", 2);
+    s = other;
+    EXPECT_EQ(s.counters(),
+              (std::map<std::string, uint64_t>{{"a", 2}, {"z", 9}}));
+    s.inc(a);
+    s.inc(b);
+    EXPECT_EQ(s.get("a"), 3u);
+    EXPECT_EQ(s.get("b"), 1u);
+    EXPECT_EQ(s.get("z"), 9u);
+
+    // A fresh set assigned from s takes s's layout, so s's handles
+    // work on it too (as they do on a copy-constructed set).
+    StatSet fresh;
+    fresh = s;
+    fresh.inc(a);
+    EXPECT_EQ(fresh.get("a"), 4u);
+    StatSet copy(s);
+    copy.inc(b, 2);
+    EXPECT_EQ(copy.get("b"), 3u);
+    EXPECT_EQ(s.get("b"), 1u);
+}
+
+TEST(Stats, HandlesSurviveSnapshotRestore)
+{
+    // A restored machine keeps counting through the handles its
+    // components interned at construction: the resumed run's
+    // counters end where the uninterrupted run's do.
+    const Program program = makeHashTable(200, 200);
+    SimConfig cfg;
+    cfg.engine.scheme = ProtectionScheme::kSpt;
+    cfg.checkpoint_at_retires = 500;
+
+    Simulator cold(program, cfg);
+    ASSERT_TRUE(cold.run().halted);
+
+    std::ostringstream snap;
+    Simulator saver(program, cfg);
+    saver.writeSnapshotTo(&snap);
+    saver.run();
+
+    Simulator resumed(program, cfg);
+    std::istringstream in(snap.str());
+    resumed.restoreSnapshot(in);
+    const uint64_t at_barrier =
+        resumed.core().stats().get("fetch.instructions");
+    EXPECT_GT(at_barrier, 0u);
+    ASSERT_TRUE(resumed.run().halted);
+    EXPECT_GT(resumed.core().stats().get("fetch.instructions"),
+              at_barrier);
+    EXPECT_EQ(resumed.core().stats().counters(),
+              cold.core().stats().counters());
+    EXPECT_EQ(resumed.core().engine().stats().counters(),
+              cold.core().engine().stats().counters());
+    EXPECT_EQ(resumed.core().memorySystem().stats().counters(),
+              cold.core().memorySystem().stats().counters());
 }
 
 TEST(Stats, HistogramMeanAndCdf)

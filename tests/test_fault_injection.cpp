@@ -19,6 +19,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "isa/assembler.h"
 #include "sim/chaos.h"
 #include "sim/exp_runner.h"
 #include "sim/fault_injector.h"
@@ -223,6 +224,93 @@ TEST(InvariantChecker, DetectsSeededLeakyMemGate)
     EXPECT_FALSE(out[0].evidence_trace.empty());
     // Timing bug only: the run still computes the right answer.
     EXPECT_TRUE(out[0].result.halted);
+}
+
+// --------------------------------------------------------------------
+// Pending-squash work list under both squash flags
+// --------------------------------------------------------------------
+
+TEST(InvariantChecker, PendingSquashListTracksBothFlags)
+{
+    // STT holds back branch resolution and memory-order squashes
+    // while an operand is s-tainted, so both squash flags stay set
+    // for many cycles here. Each iteration: a slow branch keeps the
+    // VP behind a pointer load; a late-resolving store aliases a
+    // younger load that speculates past it (memory-order
+    // violation); a store through the loaded pointer keeps that
+    // squash tainted; and forced extra squashes flag correctly
+    // predicted branches on the loaded pointer. The checker matches
+    // the core's work list against the flagged ROB entries every
+    // cycle.
+    const Program p = assemble(R"(
+    li   s0, 0x300000
+    li   s3, 0x380000
+    sd   s3, 0(s0)
+    li   a0, 24
+loop:
+    li   s4, 0x200000
+    slli s5, a0, 3
+    add  t0, s4, s5
+    li   t1, 77
+    sd   t1, 0(t0)
+    li   t2, 0x400000
+    li   t3, 2
+    div  s7, t2, t3
+    div  s7, s7, t3
+    div  s7, s7, t3
+    div  s7, s7, t3
+    beqz s7, done
+    div  t4, t2, t3
+    mul  t4, t4, t3
+    li   t5, -2097152
+    add  t4, t4, t5
+    add  t4, t4, s5
+    ld   s1, 0(s0)
+    bnez s1, hop
+hop:
+    li   t6, 123
+    sd   t6, 0(t4)
+    sd   t1, 0(s1)
+    ld   a7, 0(t0)
+    add  s6, s6, a7
+    addi a0, a0, -1
+    bnez a0, loop
+done:
+    halt
+)");
+    // Delay charges of this run as the per-cycle ROB walk made them.
+    constexpr uint64_t kBranchCycles = 465;
+    constexpr uint64_t kMemorderCycles = 96;
+
+    SimConfig cfg;
+    cfg.engine.scheme = ProtectionScheme::kStt;
+    cfg.core.attack_model = AttackModel::kSpectre;
+    cfg.faults.seed = 11;
+    cfg.faults.set(FaultSite::kExtraSquash, 300'000); // 30%
+    SimConfig checked_cfg = cfg;
+    checked_cfg.invariants = true;
+
+    Simulator checked(p, checked_cfg);
+    const SimResult r = checked.run();
+    ASSERT_NE(checked.invariants(), nullptr);
+    EXPECT_TRUE(checked.invariants()->clean())
+        << checked.invariants()->reportsJson();
+    ASSERT_TRUE(r.halted);
+    Simulator plain(p, cfg);
+    ASSERT_TRUE(plain.run().halted);
+
+    const StatSet &core = checked.core().stats();
+    EXPECT_GT(core.get("fault.extra_squashes"), 0u);
+    EXPECT_GT(core.get("squash.mem_violation"), 0u);
+    const StatSet &es = checked.core().engine().stats();
+    const StatSet &plain_es = plain.core().engine().stats();
+    // The work list visits the same gates in the same order as the
+    // ROB walk did: the same delay charges, with or without the
+    // checker attached.
+    EXPECT_EQ(es.get("delay.branch_cycles"), kBranchCycles);
+    EXPECT_EQ(es.get("delay.memorder_cycles"), kMemorderCycles);
+    EXPECT_EQ(plain_es.counters(), es.counters());
+    EXPECT_EQ(plain.core().stats().counters(), core.counters());
 }
 
 // --------------------------------------------------------------------
