@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/binio.h"
 #include "common/json.h"
 #include "common/logging.h"
 
@@ -11,6 +12,11 @@ namespace {
 
 /** Capacity a StatSet's name table starts with. */
 constexpr uint32_t kInitialNames = 16;
+
+/** Plausibility bounds of the stat-map wire format. */
+constexpr uint64_t kMaxWireBuckets = uint64_t{1} << 20;
+constexpr uint64_t kMaxWireEntries = uint64_t{1} << 20;
+constexpr uint64_t kMaxWireName = uint64_t{1} << 20;
 
 } // namespace
 
@@ -102,6 +108,87 @@ Histogram::reset()
     samples_ = 0;
     sum_ = 0;
     max_ = 0;
+}
+
+void
+Histogram::encode(BinWriter &w) const
+{
+    w.u64(buckets_.size());
+    for (const uint64_t bucket : buckets_)
+        w.u64(bucket);
+    w.u64(samples_);
+    w.u64(sum_);
+    w.u64(max_);
+}
+
+Histogram
+Histogram::decode(BinReader &r)
+{
+    const uint64_t n = r.u64();
+    if (n == 0 || n > kMaxWireBuckets)
+        SPT_FATAL(r.what() << " corrupt: " << n
+                           << " histogram buckets");
+    r.needItems(n, 8);
+    Histogram h(n);
+    for (uint64_t &bucket : h.buckets_)
+        bucket = r.u64();
+    h.samples_ = r.u64();
+    h.sum_ = r.u64();
+    h.max_ = r.u64();
+    return h;
+}
+
+void
+encodeCounters(BinWriter &w,
+               const std::map<std::string, uint64_t> &counters)
+{
+    w.u64(counters.size());
+    for (const auto &[name, value] : counters) {
+        w.str(name);
+        w.u64(value);
+    }
+}
+
+std::map<std::string, uint64_t>
+decodeCounters(BinReader &r, uint64_t max_entries)
+{
+    const uint64_t n = r.u64();
+    if (n > max_entries)
+        SPT_FATAL(r.what() << " corrupt: " << n << " counters");
+    r.needItems(n, 16); // name length + value
+    std::map<std::string, uint64_t> out;
+    for (uint64_t i = 0; i < n; ++i) {
+        std::string name = r.str(kMaxWireName);
+        out[std::move(name)] = r.u64();
+    }
+    return out;
+}
+
+void
+encodeHistograms(BinWriter &w,
+                 const std::map<std::string, Histogram> &hists)
+{
+    w.u64(hists.size());
+    for (const auto &[name, h] : hists) {
+        w.str(name);
+        h.encode(w);
+    }
+}
+
+std::map<std::string, Histogram>
+decodeHistograms(BinReader &r)
+{
+    const uint64_t n = r.u64();
+    if (n > kMaxWireEntries)
+        SPT_FATAL(r.what() << " corrupt: " << n << " histograms");
+    // name length + bucket count + one bucket + samples/sum/max
+    r.needItems(n, 48);
+    std::map<std::string, Histogram> out;
+    for (uint64_t i = 0; i < n; ++i) {
+        std::string name = r.str(kMaxWireName);
+        out.insert_or_assign(std::move(name), Histogram::decode(r));
+    }
+    return out;
 }
 
 StatSet &

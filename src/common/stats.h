@@ -17,6 +17,8 @@
 
 namespace spt {
 
+class BinReader;
+class BinWriter;
 class JsonWriter;
 
 /** A simple bucketed histogram of non-negative integer samples. */
@@ -61,16 +63,30 @@ class Histogram
 
     void reset();
 
-  private:
-    friend class Snapshotter;  // checkpoint wire format (sim/snapshot)
-    friend class ResultCache;  // result-record wire format
-                               // (sim/result_cache)
+    /** Wire layout, shared by snapshots and result records: u64
+     *  bucket count, the buckets, then samples, sum and max. */
+    void encode(BinWriter &w) const;
+    /** Inverse of encode(); SPT_FATAL unless the bucket count is in
+     *  [1, 2^20] and the buckets fit in the input. */
+    static Histogram decode(BinReader &r);
 
+  private:
     std::vector<uint64_t> buckets_;
     uint64_t samples_ = 0;
     uint64_t sum_ = 0;
     uint64_t max_ = 0;
 };
+
+/** Named counter and histogram maps on the wire: a u64 entry count,
+ *  then (name, value) pairs in name order. Decoding is SPT_FATAL on
+ *  more than @p max_entries entries or a name over 2^20 bytes. */
+void encodeCounters(BinWriter &w,
+                    const std::map<std::string, uint64_t> &counters);
+std::map<std::string, uint64_t>
+decodeCounters(BinReader &r, uint64_t max_entries = uint64_t{1} << 20);
+void encodeHistograms(BinWriter &w,
+                      const std::map<std::string, Histogram> &hists);
+std::map<std::string, Histogram> decodeHistograms(BinReader &r);
 
 /** Flat registry of named counters and histograms.
  *

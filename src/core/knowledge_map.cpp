@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/binio.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "isa/program.h"
@@ -15,73 +16,6 @@ namespace {
 
 constexpr uint64_t kMagic = 0x5350544B4D415031ull; // "SPTKMAP1"
 constexpr uint8_t kFormatVersion = 1;
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnv(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-putU64(std::ostream &os, uint64_t v)
-{
-    char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(b, 8);
-}
-
-void
-putU32(std::ostream &os, uint32_t v)
-{
-    char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(b, 4);
-}
-
-uint64_t
-getU64(std::istream &is)
-{
-    char b[8];
-    is.read(b, 8);
-    if (!is)
-        SPT_FATAL("knowledge map truncated");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(b[i]))
-             << (8 * i);
-    return v;
-}
-
-uint32_t
-getU32(std::istream &is)
-{
-    char b[4];
-    is.read(b, 4);
-    if (!is)
-        SPT_FATAL("knowledge map truncated");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(static_cast<uint8_t>(b[i]))
-             << (8 * i);
-    return v;
-}
-
-uint8_t
-getU8(std::istream &is)
-{
-    const int c = is.get();
-    if (c < 0)
-        SPT_FATAL("knowledge map truncated");
-    return static_cast<uint8_t>(c);
-}
 
 } // namespace
 
@@ -126,13 +60,13 @@ uint64_t
 KnowledgeMap::contentHash() const
 {
     uint64_t h = kFnvOffset;
-    fnv(h, fingerprint_);
-    fnv(h, static_cast<uint64_t>(vp_model_));
-    fnv(h, static_cast<uint64_t>(edge_policy_));
-    fnv(h, static_cast<uint64_t>(analysis_version_));
-    fnv(h, robust_regs_.size());
+    h = fnv1aU64(h, fingerprint_);
+    h = fnv1aU64(h, static_cast<uint64_t>(vp_model_));
+    h = fnv1aU64(h, static_cast<uint64_t>(edge_policy_));
+    h = fnv1aU64(h, static_cast<uint64_t>(analysis_version_));
+    h = fnv1aU64(h, robust_regs_.size());
     for (uint32_t m : robust_regs_)
-        fnv(h, m);
+        h = fnv1aU64(h, m);
     return h;
 }
 
@@ -140,25 +74,25 @@ uint64_t
 KnowledgeMap::fingerprintOf(const Program &p)
 {
     uint64_t h = kFnvOffset;
-    fnv(h, p.size());
-    fnv(h, p.entry());
+    h = fnv1aU64(h, p.size());
+    h = fnv1aU64(h, p.entry());
     for (uint64_t pc = 0; pc < p.size(); ++pc) {
         const Instruction &si = p.at(pc);
-        fnv(h, static_cast<uint64_t>(si.op));
-        fnv(h, si.rd);
-        fnv(h, si.rs1);
-        fnv(h, si.rs2);
-        fnv(h, static_cast<uint64_t>(si.imm));
+        h = fnv1aU64(h, static_cast<uint64_t>(si.op));
+        h = fnv1aU64(h, si.rd);
+        h = fnv1aU64(h, si.rs1);
+        h = fnv1aU64(h, si.rs2);
+        h = fnv1aU64(h, static_cast<uint64_t>(si.imm));
     }
     for (const auto &[addr, seg] : p.dataSegments()) {
-        fnv(h, addr);
-        fnv(h, seg.size());
+        h = fnv1aU64(h, addr);
+        h = fnv1aU64(h, seg.size());
         for (uint8_t byte : seg)
-            fnv(h, byte);
+            h = fnv1aU64(h, byte);
     }
     for (const SecretRange &r : p.secretRanges()) {
-        fnv(h, r.base);
-        fnv(h, r.len);
+        h = fnv1aU64(h, r.base);
+        h = fnv1aU64(h, r.len);
     }
     return h;
 }
@@ -190,16 +124,19 @@ KnowledgeMap::validateFor(const Program &program,
 void
 KnowledgeMap::save(std::ostream &os) const
 {
-    putU64(os, kMagic);
-    os.put(static_cast<char>(kFormatVersion));
-    putU64(os, fingerprint_);
-    os.put(static_cast<char>(vp_model_));
-    os.put(static_cast<char>(edge_policy_));
-    os.put(static_cast<char>(analysis_version_));
-    putU64(os, robust_regs_.size());
+    BinWriter w;
+    w.u64(kMagic);
+    w.u8(kFormatVersion);
+    w.u64(fingerprint_);
+    w.u8(static_cast<uint8_t>(vp_model_));
+    w.u8(edge_policy_);
+    w.u8(analysis_version_);
+    w.u64(robust_regs_.size());
     for (uint32_t m : robust_regs_)
-        putU32(os, m);
-    putU64(os, contentHash()); // trailer: integrity check
+        w.u32(m);
+    w.u64(contentHash()); // trailer: integrity check
+    os.write(w.data().data(),
+             static_cast<std::streamsize>(w.data().size()));
     if (!os)
         SPT_FATAL("knowledge map write failed");
 }
@@ -207,29 +144,32 @@ KnowledgeMap::save(std::ostream &os) const
 KnowledgeMap
 KnowledgeMap::load(std::istream &is)
 {
-    if (getU64(is) != kMagic)
+    const std::string bytes = readAll(is);
+    BinReader r(bytes, "knowledge map");
+    if (r.u64() != kMagic)
         SPT_FATAL("not a knowledge map (bad magic)");
-    const uint8_t version = getU8(is);
+    const uint8_t version = r.u8();
     if (version != kFormatVersion)
         SPT_FATAL("knowledge map format version "
                   << unsigned(version) << " unsupported (expected "
                   << unsigned(kFormatVersion) << ")");
     KnowledgeMap map;
-    map.fingerprint_ = getU64(is);
-    const uint8_t model = getU8(is);
+    map.fingerprint_ = r.u64();
+    const uint8_t model = r.u8();
     if (model > static_cast<uint8_t>(KnowledgeVpModel::kAny))
         SPT_FATAL("knowledge map: bad VP model tag "
                   << unsigned(model));
     map.vp_model_ = static_cast<KnowledgeVpModel>(model);
-    map.edge_policy_ = getU8(is);
-    map.analysis_version_ = getU8(is);
-    const uint64_t n = getU64(is);
+    map.edge_policy_ = r.u8();
+    map.analysis_version_ = r.u8();
+    const uint64_t n = r.u64();
     if (n > (1ull << 32))
         SPT_FATAL("knowledge map: implausible pc count " << n);
+    r.needItems(n, 4);
     map.robust_regs_.resize(n);
-    for (uint64_t i = 0; i < n; ++i)
-        map.robust_regs_[i] = getU32(is);
-    if (getU64(is) != map.contentHash())
+    for (uint32_t &m : map.robust_regs_)
+        m = r.u32();
+    if (r.u64() != map.contentHash())
         SPT_FATAL("knowledge map corrupted (trailer hash mismatch)");
     return map;
 }

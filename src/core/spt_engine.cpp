@@ -91,24 +91,16 @@ SptEngine::attach(Core &core)
     // The zero register is public; every other architectural
     // register (and all memory) starts tainted (Section 6.3).
     master_.set(PhysRegFile::kZeroReg, TaintMask::none());
-    const bool packed = cfg_.storage == SptConfig::Storage::kBitplane;
     switch (cfg_.shadow) {
       case ShadowKind::kNone:
         taint_store_ = std::make_unique<NullTaintStore>();
         break;
       case ShadowKind::kShadowL1:
-        if (packed)
-            taint_store_ = std::make_unique<PackedShadowL1>(
-                core.memorySystem().l1d());
-        else
-            taint_store_ = std::make_unique<ShadowL1>(
-                core.memorySystem().l1d());
+        taint_store_ =
+            std::make_unique<ShadowL1>(core.memorySystem().l1d());
         break;
       case ShadowKind::kShadowMem:
-        if (packed)
-            taint_store_ = std::make_unique<PackedShadowMemory>();
-        else
-            taint_store_ = std::make_unique<ShadowMemory>();
+        taint_store_ = std::make_unique<ShadowMemory>();
         break;
     }
 

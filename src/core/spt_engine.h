@@ -70,17 +70,6 @@ struct SptConfig {
     UntaintMethod method = UntaintMethod::kBackward;
     ShadowKind shadow = ShadowKind::kShadowL1;
     unsigned broadcast_width = 3;
-    /** Data taint-store implementation. kBitplane packs per-byte
-     *  taint into uint64 words (the PR-6 throughput repack);
-     *  kLegacy keeps the byte-vector stores. Behaviorally
-     *  equivalent — pinned by the storage-equivalence tests — so
-     *  this knob exists to keep the legacy stores testable against
-     *  the packed ones. */
-    enum class Storage : uint8_t {
-        kBitplane,
-        kLegacy,
-    };
-    Storage storage = Storage::kBitplane;
     /** Deliberately seeded policy bugs, used only to prove the
      *  runtime InvariantChecker fires (tools/spt_chaos --mutate).
      *  Mutations weaken a policy *gate*; the ground-truth claim

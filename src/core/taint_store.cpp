@@ -20,11 +20,12 @@ maskForBytes(unsigned bytes)
 // --------------------------------------------------------------------
 
 ShadowL1::ShadowL1(SetAssocCache &l1d)
-    : l1d_(l1d), line_bytes_(l1d.params().line_bytes)
+    : l1d_(l1d), line_bytes_(l1d.params().line_bytes),
+      words_per_line_((l1d.params().line_bytes + 63) / 64)
 {
     entries_.resize(size_t{l1d.numSets()} * l1d.params().ways);
-    for (Entry &e : entries_)
-        e.taint.assign(line_bytes_, 1);
+    // All lines start fully tainted (bit set = tainted).
+    taint_.assign(entries_.size() * words_per_line_, ~uint64_t{0});
     l1d_.setObserver(this);
     writes_ = stats_.counter("shadow_l1.writes");
     clears_ = stats_.counter("shadow_l1.clears");
@@ -58,109 +59,6 @@ ShadowL1::readTaint(uint64_t addr, unsigned bytes) const
     const Entry *e = find(addr);
     if (!e)
         return maskForBytes(bytes); // not resident: tainted
-    uint8_t out = 0;
-    for (unsigned i = 0; i < bytes && i < 8; ++i) {
-        const uint64_t a = addr + i;
-        if (l1d_.lineAddr(a) != e->line_addr) {
-            // Access straddles into a different line; be
-            // conservative for the tail bytes.
-            out |= static_cast<uint8_t>(maskForBytes(bytes) &
-                                        ~((1u << i) - 1));
-            break;
-        }
-        if (e->taint[a - e->line_addr])
-            out |= uint8_t{1} << i;
-    }
-    return out;
-}
-
-void
-ShadowL1::writeTaint(uint64_t addr, unsigned bytes,
-                     uint8_t byte_taint)
-{
-    Entry *e = find(addr);
-    if (!e)
-        return; // line not resident; nothing to track
-    for (unsigned i = 0; i < bytes && i < 8; ++i) {
-        const uint64_t a = addr + i;
-        if (l1d_.lineAddr(a) != e->line_addr)
-            break;
-        e->taint[a - e->line_addr] = (byte_taint >> i) & 1;
-    }
-    stats_.inc(writes_);
-}
-
-void
-ShadowL1::clearTaint(uint64_t addr, unsigned bytes)
-{
-    writeTaint(addr, bytes, 0);
-    stats_.inc(clears_);
-}
-
-void
-ShadowL1::onFill(uint64_t line_addr, unsigned set, unsigned way)
-{
-    Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
-    e.valid = true;
-    e.line_addr = line_addr;
-    // A freshly filled line is fully tainted (Section 7.5).
-    std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc(fills_);
-}
-
-void
-ShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
-{
-    Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
-    e.valid = false;
-    std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc(evictions_);
-}
-
-// --------------------------------------------------------------------
-// PackedShadowL1
-// --------------------------------------------------------------------
-
-PackedShadowL1::PackedShadowL1(SetAssocCache &l1d)
-    : l1d_(l1d), line_bytes_(l1d.params().line_bytes),
-      words_per_line_((l1d.params().line_bytes + 63) / 64)
-{
-    entries_.resize(size_t{l1d.numSets()} * l1d.params().ways);
-    // All lines start fully tainted (bit set = tainted).
-    taint_.assign(entries_.size() * words_per_line_, ~uint64_t{0});
-    l1d_.setObserver(this);
-    writes_ = stats_.counter("shadow_l1.writes");
-    clears_ = stats_.counter("shadow_l1.clears");
-    fills_ = stats_.counter("shadow_l1.fills");
-    evictions_ = stats_.counter("shadow_l1.evictions");
-}
-
-PackedShadowL1::Entry *
-PackedShadowL1::find(uint64_t addr)
-{
-    const auto way = l1d_.wayOf(addr);
-    if (!way)
-        return nullptr;
-    Entry &e = entries_[size_t{l1d_.setOf(addr)} *
-                            l1d_.params().ways +
-                        *way];
-    if (!e.valid || e.line_addr != l1d_.lineAddr(addr))
-        return nullptr;
-    return &e;
-}
-
-const PackedShadowL1::Entry *
-PackedShadowL1::find(uint64_t addr) const
-{
-    return const_cast<PackedShadowL1 *>(this)->find(addr);
-}
-
-uint8_t
-PackedShadowL1::readTaint(uint64_t addr, unsigned bytes) const
-{
-    const Entry *e = find(addr);
-    if (!e)
-        return maskForBytes(bytes); // not resident: tainted
     const uint64_t *words = lineWords(*e);
     const uint64_t off = addr - e->line_addr;
     const unsigned n = bytes < 8 ? bytes : 8;
@@ -183,7 +81,7 @@ PackedShadowL1::readTaint(uint64_t addr, unsigned bytes) const
 }
 
 void
-PackedShadowL1::writeTaint(uint64_t addr, unsigned bytes,
+ShadowL1::writeTaint(uint64_t addr, unsigned bytes,
                            uint8_t byte_taint)
 {
     Entry *e = find(addr);
@@ -204,14 +102,14 @@ PackedShadowL1::writeTaint(uint64_t addr, unsigned bytes,
 }
 
 void
-PackedShadowL1::clearTaint(uint64_t addr, unsigned bytes)
+ShadowL1::clearTaint(uint64_t addr, unsigned bytes)
 {
     writeTaint(addr, bytes, 0);
     stats_.inc(clears_);
 }
 
 void
-PackedShadowL1::fillLine(unsigned set, unsigned way)
+ShadowL1::fillLine(unsigned set, unsigned way)
 {
     const size_t i = size_t{set} * l1d_.params().ways + way;
     std::fill_n(taint_.begin() +
@@ -220,7 +118,7 @@ PackedShadowL1::fillLine(unsigned set, unsigned way)
 }
 
 void
-PackedShadowL1::onFill(uint64_t line_addr, unsigned set,
+ShadowL1::onFill(uint64_t line_addr, unsigned set,
                        unsigned way)
 {
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
@@ -232,7 +130,7 @@ PackedShadowL1::onFill(uint64_t line_addr, unsigned set,
 }
 
 void
-PackedShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
+ShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
 {
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
     e.valid = false;
@@ -250,65 +148,12 @@ ShadowMemory::untainted(uint64_t addr) const
     auto it = pages_.find(addr / kPageBytes);
     if (it == pages_.end())
         return false;
-    return it->second[addr % kPageBytes] != 0;
-}
-
-void
-ShadowMemory::setUntainted(uint64_t addr, bool clear)
-{
-    auto it = pages_.find(addr / kPageBytes);
-    if (it == pages_.end()) {
-        if (!clear)
-            return; // default is tainted
-        it = pages_
-                 .emplace(addr / kPageBytes,
-                          std::vector<uint8_t>(kPageBytes, 0))
-                 .first;
-    }
-    it->second[addr % kPageBytes] = clear ? 1 : 0;
-}
-
-uint8_t
-ShadowMemory::readTaint(uint64_t addr, unsigned bytes) const
-{
-    uint8_t out = 0;
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        if (!untainted(addr + i))
-            out |= uint8_t{1} << i;
-    return out;
-}
-
-void
-ShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
-                         uint8_t byte_taint)
-{
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        setUntainted(addr + i, !((byte_taint >> i) & 1));
-}
-
-void
-ShadowMemory::clearTaint(uint64_t addr, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        setUntainted(addr + i, true);
-}
-
-// --------------------------------------------------------------------
-// PackedShadowMemory
-// --------------------------------------------------------------------
-
-bool
-PackedShadowMemory::untainted(uint64_t addr) const
-{
-    auto it = pages_.find(addr / kPageBytes);
-    if (it == pages_.end())
-        return false;
     const uint64_t b = addr % kPageBytes;
     return (it->second[b >> 6] >> (b & 63)) & 1;
 }
 
 void
-PackedShadowMemory::setUntainted(uint64_t addr, bool clear)
+ShadowMemory::setUntainted(uint64_t addr, bool clear)
 {
     auto it = pages_.find(addr / kPageBytes);
     if (it == pages_.end()) {
@@ -328,7 +173,7 @@ PackedShadowMemory::setUntainted(uint64_t addr, bool clear)
 }
 
 uint8_t
-PackedShadowMemory::readTaint(uint64_t addr, unsigned bytes) const
+ShadowMemory::readTaint(uint64_t addr, unsigned bytes) const
 {
     uint8_t out = 0;
     for (unsigned i = 0; i < bytes && i < 8; ++i)
@@ -338,7 +183,7 @@ PackedShadowMemory::readTaint(uint64_t addr, unsigned bytes) const
 }
 
 void
-PackedShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
+ShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
                                uint8_t byte_taint)
 {
     for (unsigned i = 0; i < bytes && i < 8; ++i)
@@ -346,7 +191,7 @@ PackedShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
 }
 
 void
-PackedShadowMemory::clearTaint(uint64_t addr, unsigned bytes)
+ShadowMemory::clearTaint(uint64_t addr, unsigned bytes)
 {
     for (unsigned i = 0; i < bytes && i < 8; ++i)
         setUntainted(addr + i, true);

@@ -4,7 +4,7 @@
  * 6.8 and 7.5).
  *
  * All program memory starts tainted (nothing has been leaked yet).
- * Three implementations, matching Table 2's shadow options:
+ * One implementation per Table 2 shadow option:
  *
  *  - NullTaintStore: memory data is always tainted (NoShadowL1).
  *  - ShadowL1: an in-core mirror of the L1D's set-associative
@@ -15,11 +15,7 @@
  *  - ShadowMemory: the idealized variant that keeps a taint bit for
  *    every byte of memory (SPT {*, ShadowMem}).
  *
- * PackedShadowL1 / PackedShadowMemory are the bitplane repacks of
- * the latter two: the same geometry and stat behavior, but one taint
- * *bit* per byte packed into uint64 words instead of one byte per
- * byte. SptConfig::Storage selects packed (default) or legacy; the
- * storage-equivalence tests pin them bit-identical.
+ * Both shadows pack the per-byte taint bits into uint64 words.
  */
 
 #ifndef SPT_CORE_TAINT_STORE_H
@@ -66,7 +62,8 @@ class NullTaintStore : public DataTaintStore
     void clearTaint(uint64_t, unsigned) override {}
 };
 
-/** Shadow L1: taint bits for L1D-resident bytes only. */
+/** Shadow L1: taint bits for L1D-resident bytes only, one bit per
+ *  line byte packed into uint64 words. */
 class ShadowL1 : public DataTaintStore, public CacheObserver
 {
   public:
@@ -93,47 +90,6 @@ class ShadowL1 : public DataTaintStore, public CacheObserver
     struct Entry {
         bool valid = false;
         uint64_t line_addr = 0;
-        /** Bit b set = byte b of the line is tainted. */
-        std::vector<uint8_t> taint; // line_bytes entries (1 = tainted)
-    };
-
-    SetAssocCache &l1d_;
-    unsigned line_bytes_;
-    std::vector<Entry> entries_;
-    StatSet stats_;
-    StatSet::Counter writes_, clears_, fills_, evictions_;
-
-    /** Entry holding @p addr's line, or nullptr if not resident. */
-    Entry *find(uint64_t addr);
-    const Entry *find(uint64_t addr) const;
-};
-
-/** Bitplane repack of ShadowL1: one taint *bit* per line byte in
- *  uint64 words. Same geometry, straddle semantics, and stat names
- *  as the byte-vector original. */
-class PackedShadowL1 : public DataTaintStore, public CacheObserver
-{
-  public:
-    explicit PackedShadowL1(SetAssocCache &l1d);
-
-    uint8_t readTaint(uint64_t addr, unsigned bytes) const override;
-    void writeTaint(uint64_t addr, unsigned bytes,
-                    uint8_t byte_taint) override;
-    void clearTaint(uint64_t addr, unsigned bytes) override;
-
-    void onFill(uint64_t line_addr, unsigned set,
-                unsigned way) override;
-    void onEvict(uint64_t line_addr, unsigned set,
-                 unsigned way) override;
-
-    StatSet &stats() { return stats_; }
-
-  private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
-    struct Entry {
-        bool valid = false;
-        uint64_t line_addr = 0;
     };
 
     SetAssocCache &l1d_;
@@ -146,6 +102,7 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
     StatSet stats_;
     StatSet::Counter writes_, clears_, fills_, evictions_;
 
+    /** Entry holding @p addr's line, or nullptr if not resident. */
     Entry *find(uint64_t addr);
     const Entry *find(uint64_t addr) const;
     uint64_t *lineWords(const Entry &e)
@@ -161,33 +118,10 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
     void fillLine(unsigned set, unsigned way);
 };
 
-/** Idealized whole-memory byte taint (sparse: pages of "untainted"
- *  flags; absent page = fully tainted). */
+/** Idealized whole-memory byte taint: one "untainted" bit per byte,
+ *  64 words per 4 KiB page, sparse (absent page = fully
+ *  tainted). */
 class ShadowMemory : public DataTaintStore
-{
-  public:
-    static constexpr uint64_t kPageBytes = 4096;
-
-    uint8_t readTaint(uint64_t addr, unsigned bytes) const override;
-    void writeTaint(uint64_t addr, unsigned bytes,
-                    uint8_t byte_taint) override;
-    void clearTaint(uint64_t addr, unsigned bytes) override;
-
-    size_t residentPages() const { return pages_.size(); }
-
-  private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
-    /** 1 = untainted (memory defaults to tainted). */
-    std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
-
-    bool untainted(uint64_t addr) const;
-    void setUntainted(uint64_t addr, bool untainted);
-};
-
-/** Bitplane repack of ShadowMemory: one "untainted" *bit* per byte,
- *  64 words per 4 KiB page; absent page = fully tainted. */
-class PackedShadowMemory : public DataTaintStore
 {
   public:
     static constexpr uint64_t kPageBytes = 4096;

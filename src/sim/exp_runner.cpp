@@ -30,56 +30,72 @@ runStatusName(RunStatus s)
 }
 
 std::string
-jobKey(const RunJob &job)
+jobKeyOf(const RunJob &job, JobKeyKind kind, const std::string &program,
+         const std::string &map, const std::string &checkpoint)
 {
-    // Every descriptor field except `label` participates. SptConfig
-    // currently has exactly {method, shadow, broadcast_width,
-    // storage, mutation, knowledge_map}; extend this when it grows
-    // (tests/test_exp_runner.cpp pins the sensitivity). The
-    // observability flags must participate too: a traced run carries
+    // The observability flags participate: a traced run carries
     // artifacts a plain run lacks, so the two may not share a slot.
-    // The wall timeout participates because it can change the
-    // outcome (a capped run may cut off early). fast_forward and the
-    // checkpoint knobs participate even though they are
-    // result-identical by contract: they change ff.* counters /
-    // where a run starts, and merging them would hide exactly the
-    // regressions the equivalence gates exist to catch.
-    char buf[384];
-    int n = std::snprintf(
-        buf, sizeof buf,
-        "p=%p|sch=%u|m=%u|sh=%u|bw=%u|st=%u|mut=%u|km=%p|am=%u"
-        "|seed=%llu"
-        "|mc=%llu|tr=%u|pf=%u|iv=%llu|inv=%u|wd=%llu|wt=%.9g|ff=%u"
-        "|ca=%llu|fs=%llu",
-        static_cast<const void *>(job.program),
-        static_cast<unsigned>(job.engine.scheme),
-        static_cast<unsigned>(job.engine.spt.method),
-        static_cast<unsigned>(job.engine.spt.shadow),
-        job.engine.spt.broadcast_width,
-        static_cast<unsigned>(job.engine.spt.storage),
-        static_cast<unsigned>(job.engine.spt.mutation),
-        static_cast<const void *>(job.engine.spt.knowledge_map),
-        static_cast<unsigned>(job.attack_model),
-        static_cast<unsigned long long>(job.seed),
-        static_cast<unsigned long long>(job.max_cycles),
-        static_cast<unsigned>(job.trace),
-        static_cast<unsigned>(job.profile),
-        static_cast<unsigned long long>(job.interval_stats),
-        static_cast<unsigned>(job.invariants),
-        static_cast<unsigned long long>(job.watchdog_cycles),
-        job.wall_timeout_seconds,
-        static_cast<unsigned>(job.fast_forward),
-        static_cast<unsigned long long>(job.checkpoint_at),
-        static_cast<unsigned long long>(job.faults.seed));
-    std::string key(buf, static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < kNumFaultSites; ++i) {
-        std::snprintf(buf, sizeof buf, "|f%zu=%u", i,
-                      job.faults.rate_ppm[i]);
+    // fast_forward and the checkpoint knobs participate even though
+    // they are result-identical by contract: they change ff.*
+    // counters / where a run starts, and merging them would hide
+    // exactly the regressions the equivalence gates exist to catch.
+    const bool content = kind == JobKeyKind::kContent;
+    // "resv1" versions the cache-key schema itself: changing how keys
+    // are derived must not alias old cache entries.
+    std::string key = content ? "resv1|prog=" : "p=";
+    key += program;
+    auto field = [&key](std::string_view name, uint64_t value) {
+        key += '|';
+        key += name;
+        key += '=';
+        key += std::to_string(value);
+    };
+    field("sch", static_cast<unsigned>(job.engine.scheme));
+    field("m", static_cast<unsigned>(job.engine.spt.method));
+    field("sh", static_cast<unsigned>(job.engine.spt.shadow));
+    field("bw", job.engine.spt.broadcast_width);
+    if (content)
+        field("st", 0);
+    field("mut", static_cast<unsigned>(job.engine.spt.mutation));
+    key += "|km=";
+    key += map;
+    field("am", static_cast<unsigned>(job.attack_model));
+    field("seed", job.seed);
+    field("mc", job.max_cycles);
+    field("tr", job.trace);
+    field("pf", job.profile);
+    field("iv", job.interval_stats);
+    field("inv", job.invariants);
+    field("wd", job.watchdog_cycles);
+    if (!content) {
+        // The wall timeout can change the outcome (a capped run may
+        // cut off early); capped jobs never reach the cache.
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "|wt=%.9g",
+                      job.wall_timeout_seconds);
         key += buf;
     }
+    field("ff", job.fast_forward);
+    field("ca", job.checkpoint_at);
+    field("fs", job.faults.seed);
+    for (std::size_t i = 0; i < kNumFaultSites; ++i)
+        field("f" + std::to_string(i), job.faults.rate_ppm[i]);
     key += "|ck=";
-    key += job.checkpoint;
+    key += checkpoint;
     return key;
+}
+
+std::string
+jobKey(const RunJob &job)
+{
+    auto address = [](const void *p) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%p", p);
+        return std::string(buf);
+    };
+    return jobKeyOf(job, JobKeyKind::kInProcess, address(job.program),
+                    address(job.engine.spt.knowledge_map),
+                    job.checkpoint);
 }
 
 std::string

@@ -244,13 +244,31 @@ struct SweepStats {
     std::string cache_dir;
 };
 
-/** In-process memoization key: program identity (object address)
- *  plus every field of the job descriptor. Keep in sync with
- *  EngineConfig/SptConfig — a field missing here would merge
- *  distinct design points — and with
- *  ResultCache::canonicalKey, its content-addressed cross-process
- *  counterpart (same inventory, pointers replaced by content
- *  hashes). Exposed for tests. */
+/** The two job keys, built from one list of every descriptor field
+ *  except `label`. A field missing from that list would merge
+ *  distinct design points (tests/test_exp_runner.cpp pins the
+ *  sensitivity of both keys). */
+enum class JobKeyKind : uint8_t {
+    /** jobKey(): by-reference components by object address, plus
+     *  the wall timeout. */
+    kInProcess,
+    /** ResultCache::canonicalKey: by-reference components by
+     *  content hash, the "resv1" schema tag, and "st=0" where the
+     *  retired taint-storage field stood, so keys of existing
+     *  caches stay valid. */
+    kContent,
+};
+
+/** Key of @p job of the given kind; @p program, @p map and
+ *  @p checkpoint are the identities of the job's program,
+ *  knowledge map and checkpoint in that kind's form. */
+std::string jobKeyOf(const RunJob &job, JobKeyKind kind,
+                     const std::string &program, const std::string &map,
+                     const std::string &checkpoint);
+
+/** In-process memoization key: object identity of the program and
+ *  knowledge map plus every other descriptor field. Exposed for
+ *  tests. */
 std::string jobKey(const RunJob &job);
 
 /** One-line human identity of a job for reports: label if set,

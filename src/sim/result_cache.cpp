@@ -2,12 +2,12 @@
 
 #include <unistd.h>
 
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "common/binio.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/knowledge_map.h"
@@ -20,20 +20,6 @@ namespace {
 constexpr uint64_t kMagic = 0x5350545245533031ull; // "SPTRES01"
 constexpr uint32_t kVersion = 1;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvBytes(const char *data, std::size_t len,
-         uint64_t h = kFnvOffset)
-{
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= static_cast<uint8_t>(data[i]);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 std::string
 hex16(uint64_t v)
 {
@@ -41,108 +27,6 @@ hex16(uint64_t v)
     std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
     return buf;
 }
-
-// --------------------------------------------------------------------
-// Record codec: append-to-string writer, offset reader. The reader
-// throws FatalError on any malformation; lookup() catches it and
-// reports a miss.
-// --------------------------------------------------------------------
-
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    putU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU64(out, s.size());
-    out.append(s);
-}
-
-class Reader
-{
-  public:
-    Reader(const std::string &buf, std::size_t pos = 0)
-        : buf_(buf), pos_(pos)
-    {
-    }
-
-    uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<uint8_t>(buf_[pos_++]);
-    }
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t{u8()} << (8 * i);
-        return v;
-    }
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= uint64_t{u8()} << (8 * i);
-        return v;
-    }
-    double
-    d()
-    {
-        return std::bit_cast<double>(u64());
-    }
-    std::string
-    str()
-    {
-        const uint64_t n = u64();
-        need(n);
-        std::string s = buf_.substr(pos_, n);
-        pos_ += n;
-        return s;
-    }
-    std::size_t pos() const { return pos_; }
-    bool
-    atEnd() const
-    {
-        return pos_ == buf_.size();
-    }
-
-  private:
-    void
-    need(uint64_t n) const
-    {
-        if (n > buf_.size() || pos_ > buf_.size() - n)
-            SPT_FATAL("result record truncated");
-    }
-
-    const std::string &buf_;
-    std::size_t pos_;
-};
 
 /** FNV-1a of a whole file; false if it cannot be read. */
 bool
@@ -158,7 +42,8 @@ hashFile(const std::string &path, uint64_t *out)
         const std::streamsize n = is.gcount();
         if (n <= 0)
             break;
-        h = fnvBytes(buf, static_cast<std::size_t>(n), h);
+        h = fnv1a(std::string_view(buf, static_cast<std::size_t>(n)),
+                  h);
     }
     if (is.bad())
         return false;
@@ -250,148 +135,71 @@ ResultCache::canonicalKey(const RunJob &job,
             ? job.engine.spt.knowledge_map->contentHash()
             : 0;
 
-    // Same field inventory as jobKey() (minus label), with every
-    // by-reference component replaced by its content hash. The
-    // "resv1" prefix versions the key schema itself: changing how
-    // keys are derived must not alias old entries.
-    char buf[512];
-    int n = std::snprintf(
-        buf, sizeof buf,
-        "resv1|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=%u"
-        "|mut=%u|km=%016" PRIx64 "|am=%u|seed=%" PRIu64
-        "|mc=%" PRIu64 "|tr=%u|pf=%u|iv=%" PRIu64 "|inv=%u"
-        "|wd=%" PRIu64 "|ff=%u|ca=%" PRIu64 "|fs=%" PRIu64,
-        prog, static_cast<unsigned>(job.engine.scheme),
-        static_cast<unsigned>(job.engine.spt.method),
-        static_cast<unsigned>(job.engine.spt.shadow),
-        job.engine.spt.broadcast_width,
-        static_cast<unsigned>(job.engine.spt.storage),
-        static_cast<unsigned>(job.engine.spt.mutation), km,
-        static_cast<unsigned>(job.attack_model), job.seed,
-        job.max_cycles, static_cast<unsigned>(job.trace),
-        static_cast<unsigned>(job.profile), job.interval_stats,
-        static_cast<unsigned>(job.invariants), job.watchdog_cycles,
-        static_cast<unsigned>(job.fast_forward), job.checkpoint_at,
-        job.faults.seed);
-    std::string key(buf, static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < kNumFaultSites; ++i) {
-        std::snprintf(buf, sizeof buf, "|f%zu=%u", i,
-                      job.faults.rate_ppm[i]);
-        key += buf;
-    }
-    key += "|ck=";
-    key += job.checkpoint.empty() ? std::string("0")
-                                  : hex16(ckpt_hash);
-    return key;
+    // jobKey's field list, with every by-reference component
+    // replaced by its content hash.
+    return jobKeyOf(job, JobKeyKind::kContent, hex16(prog), hex16(km),
+                    job.checkpoint.empty() ? std::string("0")
+                                           : hex16(ckpt_hash));
 }
 
 std::string
 ResultCache::encodeOutcome(const RunOutcome &out)
 {
-    std::string b;
-    putU64(b, out.result.cycles);
-    putU64(b, out.result.instructions);
-    putU8(b, out.result.halted ? 1 : 0);
-    putDouble(b, out.result.ipc);
-    putU8(b, static_cast<uint8_t>(out.result.termination));
-    putDouble(b, out.host_seconds);
-    putU8(b, static_cast<uint8_t>(out.status));
-    putStr(b, out.error);
-    putStr(b, out.diagnostics_json);
-    putU64(b, out.engine_counters.size());
-    for (const auto &[name, value] : out.engine_counters) {
-        putStr(b, name);
-        putU64(b, value);
-    }
-    putU64(b, out.engine_histograms.size());
-    for (const auto &[name, h] : out.engine_histograms) {
-        putStr(b, name);
-        putU64(b, h.buckets_.size());
-        for (const uint64_t bucket : h.buckets_)
-            putU64(b, bucket);
-        putU64(b, h.samples_);
-        putU64(b, h.sum_);
-        putU64(b, h.max_);
-    }
-    putStr(b, out.trace_text);
-    putStr(b, out.trace_pipeview);
-    putStr(b, out.profile_json);
-    putStr(b, out.intervals_json);
-    putU64(b, out.fault_counters.size());
-    for (const auto &[name, value] : out.fault_counters) {
-        putStr(b, name);
-        putU64(b, value);
-    }
+    BinWriter w;
+    w.u64(out.result.cycles);
+    w.u64(out.result.instructions);
+    w.b(out.result.halted);
+    w.f64(out.result.ipc);
+    w.u8(static_cast<uint8_t>(out.result.termination));
+    w.f64(out.host_seconds);
+    w.u8(static_cast<uint8_t>(out.status));
+    w.str(out.error);
+    w.str(out.diagnostics_json);
+    encodeCounters(w, out.engine_counters);
+    encodeHistograms(w, out.engine_histograms);
+    w.str(out.trace_text);
+    w.str(out.trace_pipeview);
+    w.str(out.profile_json);
+    w.str(out.intervals_json);
+    encodeCounters(w, out.fault_counters);
     for (const uint64_t r : out.arch_regs)
-        putU64(b, r);
-    putStr(b, out.evidence_trace);
-    putU8(b, out.reproduced ? 1 : 0);
-    return b;
+        w.u64(r);
+    w.str(out.evidence_trace);
+    w.b(out.reproduced);
+    return w.take();
 }
 
 RunOutcome
 ResultCache::decodeOutcome(const std::string &bytes)
 {
-    Reader rd(bytes);
+    BinReader rd(bytes, "result record");
     RunOutcome out;
     out.result.cycles = rd.u64();
     out.result.instructions = rd.u64();
-    out.result.halted = rd.u8() != 0;
-    out.result.ipc = rd.d();
+    out.result.halted = rd.b();
+    out.result.ipc = rd.f64();
     const uint8_t term = rd.u8();
     if (term > static_cast<uint8_t>(Termination::kWallTimeout))
         SPT_FATAL("result record corrupt: termination " << +term);
     out.result.termination = static_cast<Termination>(term);
-    out.host_seconds = rd.d();
+    out.host_seconds = rd.f64();
     const uint8_t status = rd.u8();
     if (status > static_cast<uint8_t>(RunStatus::kCrash))
         SPT_FATAL("result record corrupt: status " << +status);
     out.status = static_cast<RunStatus>(status);
     out.error = rd.str();
     out.diagnostics_json = rd.str();
-    const uint64_t ncounters = rd.u64();
-    if (ncounters > (uint64_t{1} << 20))
-        SPT_FATAL("result record corrupt: " << ncounters
-                                            << " counters");
-    for (uint64_t i = 0; i < ncounters; ++i) {
-        std::string name = rd.str();
-        out.engine_counters[std::move(name)] = rd.u64();
-    }
-    const uint64_t nhists = rd.u64();
-    if (nhists > (uint64_t{1} << 20))
-        SPT_FATAL("result record corrupt: " << nhists
-                                            << " histograms");
-    for (uint64_t i = 0; i < nhists; ++i) {
-        std::string name = rd.str();
-        const uint64_t nbuckets = rd.u64();
-        if (nbuckets == 0 || nbuckets > (uint64_t{1} << 20))
-            SPT_FATAL("result record corrupt: " << nbuckets
-                                                << " buckets");
-        Histogram h(nbuckets);
-        for (uint64_t bkt = 0; bkt < nbuckets; ++bkt)
-            h.buckets_[bkt] = rd.u64();
-        h.samples_ = rd.u64();
-        h.sum_ = rd.u64();
-        h.max_ = rd.u64();
-        out.engine_histograms.emplace(std::move(name),
-                                      std::move(h));
-    }
+    out.engine_counters = decodeCounters(rd);
+    out.engine_histograms = decodeHistograms(rd);
     out.trace_text = rd.str();
     out.trace_pipeview = rd.str();
     out.profile_json = rd.str();
     out.intervals_json = rd.str();
-    const uint64_t nfaults = rd.u64();
-    if (nfaults > (uint64_t{1} << 16))
-        SPT_FATAL("result record corrupt: " << nfaults
-                                            << " fault counters");
-    for (uint64_t i = 0; i < nfaults; ++i) {
-        std::string name = rd.str();
-        out.fault_counters[std::move(name)] = rd.u64();
-    }
+    out.fault_counters = decodeCounters(rd, uint64_t{1} << 16);
     for (uint64_t &r : out.arch_regs)
         r = rd.u64();
     out.evidence_trace = rd.str();
-    out.reproduced = rd.u8() != 0;
+    out.reproduced = rd.b();
     if (!rd.atEnd())
         SPT_FATAL("result record corrupt: trailing bytes");
     return out;
@@ -410,8 +218,7 @@ ResultCache::encodeOutcomeDeterministic(const RunOutcome &out)
 std::string
 ResultCache::entryPath(const std::string &key) const
 {
-    return dir_ + "/" + hex16(fnvBytes(key.data(), key.size())) +
-           ".sptres";
+    return dir_ + "/" + hex16(fnv1a(key)) + ".sptres";
 }
 
 bool
@@ -422,18 +229,17 @@ ResultCache::lookup(const std::string &key, RunOutcome *out)
     try {
         std::ifstream is(entryPath(key), std::ios::binary);
         if (is) {
-            std::string record(
-                (std::istreambuf_iterator<char>(is)),
-                std::istreambuf_iterator<char>());
+            const std::string record = readAll(is);
             if (record.size() < 8)
                 SPT_FATAL("result record truncated");
             // Content-hash trailer first: everything after this
             // point may assume the bytes are what was written.
             const std::size_t body = record.size() - 8;
-            Reader trailer(record, body);
-            if (trailer.u64() != fnvBytes(record.data(), body))
+            const std::string_view view(record);
+            BinReader trailer(view.substr(body), "result record");
+            if (trailer.u64() != fnv1a(view.substr(0, body)))
                 SPT_FATAL("result record content hash mismatch");
-            Reader rd(record);
+            BinReader rd(view, "result record");
             if (rd.u64() != kMagic)
                 SPT_FATAL("not a result record (bad magic)");
             const uint32_t version = rd.u32();
@@ -475,12 +281,13 @@ ResultCache::store(const std::string &key, const RunOutcome &out)
     if (out.status != RunStatus::kOk)
         return;
 
-    std::string record;
-    putU64(record, kMagic);
-    putU32(record, kVersion);
-    putStr(record, key);
-    putStr(record, encodeOutcome(out));
-    putU64(record, fnvBytes(record.data(), record.size()));
+    BinWriter w;
+    w.u64(kMagic);
+    w.u32(kVersion);
+    w.str(key);
+    w.str(encodeOutcome(out));
+    w.u64(fnv1a(w.data()));
+    const std::string record = w.take();
 
     const std::string path = entryPath(key);
     std::string tmp;

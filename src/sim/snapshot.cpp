@@ -6,17 +6,23 @@
  * a snapshot written on any host restores on any other. Containers
  * with nondeterministic iteration order (the sparse page maps, the
  * coherence directory) are written sorted by key so identical
- * machine states produce identical snapshot bytes.
+ * machine states produce identical snapshot bytes. save() encodes
+ * into memory and writes once; restore() and info() read the whole
+ * stream and decode it with the bounds-checked common/binio reader.
+ *
+ * The header keeps a taint-storage byte from when a legacy
+ * byte-vector store existed: it is always written as 0, and a
+ * nonzero byte is refused.
  */
 
 #include "sim/snapshot.h"
 
 #include <algorithm>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/logging.h"
 #include "core/knowledge_map.h"
 #include "core/spt_engine.h"
@@ -30,130 +36,8 @@ namespace {
 constexpr uint64_t kMagic = 0x31544b4354505331ULL; // "1SPTCKT1"
 constexpr uint32_t kVersion = 2; // v2: knowledge-map tag + armed bits
 
-// --------------------------------------------------------------------
-// Primitive writers/readers
-// --------------------------------------------------------------------
-
-class Writer
-{
-  public:
-    explicit Writer(std::ostream &os) : os_(os) {}
-
-    void
-    u8(uint8_t v)
-    {
-        os_.put(static_cast<char>(v));
-    }
-    void
-    u16(uint16_t v)
-    {
-        u8(static_cast<uint8_t>(v));
-        u8(static_cast<uint8_t>(v >> 8));
-    }
-    void
-    u32(uint32_t v)
-    {
-        u16(static_cast<uint16_t>(v));
-        u16(static_cast<uint16_t>(v >> 16));
-    }
-    void
-    u64(uint64_t v)
-    {
-        u32(static_cast<uint32_t>(v));
-        u32(static_cast<uint32_t>(v >> 32));
-    }
-    void
-    b(bool v)
-    {
-        u8(v ? 1 : 0);
-    }
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        os_.write(s.data(), static_cast<std::streamsize>(s.size()));
-    }
-    void
-    bytes(const uint8_t *data, size_t len)
-    {
-        os_.write(reinterpret_cast<const char *>(data),
-                  static_cast<std::streamsize>(len));
-    }
-
-    void
-    finish() const
-    {
-        if (!os_)
-            SPT_FATAL("snapshot write failed (stream error)");
-    }
-
-  private:
-    std::ostream &os_;
-};
-
-class Reader
-{
-  public:
-    explicit Reader(std::istream &is) : is_(is) {}
-
-    uint8_t
-    u8()
-    {
-        const int c = is_.get();
-        if (c < 0)
-            SPT_FATAL("snapshot truncated");
-        return static_cast<uint8_t>(c);
-    }
-    uint16_t
-    u16()
-    {
-        const uint16_t lo = u8();
-        return static_cast<uint16_t>(lo | (uint16_t{u8()} << 8));
-    }
-    uint32_t
-    u32()
-    {
-        const uint32_t lo = u16();
-        return lo | (uint32_t{u16()} << 16);
-    }
-    uint64_t
-    u64()
-    {
-        const uint64_t lo = u32();
-        return lo | (uint64_t{u32()} << 32);
-    }
-    bool
-    b()
-    {
-        return u8() != 0;
-    }
-    std::string
-    str()
-    {
-        const uint64_t n = u64();
-        if (n > (uint64_t{1} << 20))
-            SPT_FATAL("snapshot corrupt: implausible string length "
-                      << n);
-        std::string s(n, '\0');
-        bytes(reinterpret_cast<uint8_t *>(s.data()), n);
-        return s;
-    }
-    void
-    bytes(uint8_t *out, size_t len)
-    {
-        is_.read(reinterpret_cast<char *>(out),
-                 static_cast<std::streamsize>(len));
-        if (static_cast<size_t>(is_.gcount()) != len)
-            SPT_FATAL("snapshot truncated");
-    }
-
-  private:
-    std::istream &is_;
-};
-
-} // namespace
-
-namespace {
+/** Bound on the engine name a snapshot carries. */
+constexpr uint64_t kMaxName = uint64_t{1} << 20;
 
 struct Fingerprint {
     uint64_t code_size;
@@ -182,57 +66,27 @@ class Snapshotter::Codec
   public:
     // --- StatSet ------------------------------------------------------
     static void
-    putStats(Writer &w, const StatSet &s)
+    putStats(BinWriter &w, const StatSet &s)
     {
-        const std::map<std::string, uint64_t> counters = s.counters();
-        w.u64(counters.size());
-        for (const auto &[name, value] : counters) {
-            w.str(name);
-            w.u64(value);
-        }
-        const std::map<std::string, Histogram> hists = s.histograms();
-        w.u64(hists.size());
-        for (const auto &[name, h] : hists) {
-            w.str(name);
-            w.u64(h.buckets_.size());
-            for (const uint64_t bkt : h.buckets_)
-                w.u64(bkt);
-            w.u64(h.samples_);
-            w.u64(h.sum_);
-            w.u64(h.max_);
-        }
+        encodeCounters(w, s.counters());
+        encodeHistograms(w, s.histograms());
     }
 
     static void
-    getStats(Reader &r, StatSet &s)
+    getStats(BinReader &r, StatSet &s)
     {
         // By name through the public API, so the handles the
         // restored components registered stay valid.
         s.reset();
-        const uint64_t nc = r.u64();
-        for (uint64_t i = 0; i < nc; ++i) {
-            const std::string name = r.str();
-            s.set(name, r.u64());
-        }
-        const uint64_t nh = r.u64();
-        for (uint64_t i = 0; i < nh; ++i) {
-            const std::string name = r.str();
-            const uint64_t buckets = r.u64();
-            if (buckets > (uint64_t{1} << 24))
-                SPT_FATAL("snapshot corrupt: histogram size");
-            Histogram h(buckets);
-            for (uint64_t bkt = 0; bkt < buckets; ++bkt)
-                h.buckets_[bkt] = r.u64();
-            h.samples_ = r.u64();
-            h.sum_ = r.u64();
-            h.max_ = r.u64();
-            s.histogram(name, buckets) = h;
-        }
+        for (const auto &[name, value] : decodeCounters(r))
+            s.set(name, value);
+        for (const auto &[name, h] : decodeHistograms(r))
+            s.histogram(name, h.numBuckets()) = h;
     }
 
     // --- ByteMemory ---------------------------------------------------
     static void
-    putMemory(Writer &w, const ByteMemory &m)
+    putMemory(BinWriter &w, const ByteMemory &m)
     {
         std::vector<uint64_t> keys;
         keys.reserve(m.pages_.size());
@@ -248,10 +102,11 @@ class Snapshotter::Codec
     }
 
     static void
-    getMemory(Reader &r, ByteMemory &m)
+    getMemory(BinReader &r, ByteMemory &m)
     {
         m.pages_.clear();
         const uint64_t n = r.u64();
+        r.needItems(n, 8 + ByteMemory::kPageBytes);
         for (uint64_t i = 0; i < n; ++i) {
             const uint64_t page = r.u64();
             auto p = std::make_unique<ByteMemory::Page>();
@@ -262,7 +117,7 @@ class Snapshotter::Codec
 
     // --- SetAssocCache ------------------------------------------------
     static void
-    putCache(Writer &w, const SetAssocCache &c)
+    putCache(BinWriter &w, const SetAssocCache &c)
     {
         w.u64(c.lines_.size());
         for (const auto &line : c.lines_) {
@@ -276,7 +131,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getCache(Reader &r, SetAssocCache &c)
+    getCache(BinReader &r, SetAssocCache &c)
     {
         const uint64_t n = r.u64();
         if (n != c.lines_.size())
@@ -295,7 +150,7 @@ class Snapshotter::Codec
 
     // --- MshrFile -----------------------------------------------------
     static void
-    putMshrs(Writer &w, const MshrFile &m)
+    putMshrs(BinWriter &w, const MshrFile &m)
     {
         w.u64(m.entries_.size());
         for (const auto &e : m.entries_) {
@@ -306,7 +161,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getMshrs(Reader &r, MshrFile &m)
+    getMshrs(BinReader &r, MshrFile &m)
     {
         const uint64_t n = r.u64();
         if (n > m.capacity())
@@ -323,7 +178,7 @@ class Snapshotter::Codec
 
     // --- MesiDirectory ------------------------------------------------
     static void
-    putDirectory(Writer &w, const MesiDirectory &d)
+    putDirectory(BinWriter &w, const MesiDirectory &d)
     {
         std::vector<uint64_t> keys;
         keys.reserve(d.dir_.size());
@@ -342,7 +197,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getDirectory(Reader &r, MesiDirectory &d)
+    getDirectory(BinReader &r, MesiDirectory &d)
     {
         d.dir_.clear();
         const uint64_t n = r.u64();
@@ -358,7 +213,7 @@ class Snapshotter::Codec
 
     // --- Branch predictors --------------------------------------------
     static void
-    putHistoryState(Writer &w, const TagePredictor::HistoryState &hs)
+    putHistoryState(BinWriter &w, const TagePredictor::HistoryState &hs)
     {
         w.u64(hs.history.bits_.size());
         w.bytes(hs.history.bits_.data(), hs.history.bits_.size());
@@ -372,7 +227,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getHistoryState(Reader &r, TagePredictor::HistoryState &hs)
+    getHistoryState(BinReader &r, TagePredictor::HistoryState &hs)
     {
         const uint64_t n = r.u64();
         if (n != hs.history.bits_.size())
@@ -390,7 +245,7 @@ class Snapshotter::Codec
     }
 
     static void
-    putTage(Writer &w, const TagePredictor &t)
+    putTage(BinWriter &w, const TagePredictor &t)
     {
         w.u64(t.base_.table_.size());
         for (const SatCounter &c : t.base_.table_)
@@ -411,7 +266,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getTage(Reader &r, TagePredictor &t)
+    getTage(BinReader &r, TagePredictor &t)
     {
         if (r.u64() != t.base_.table_.size())
             SPT_FATAL("snapshot/config mismatch: bimodal size");
@@ -436,7 +291,7 @@ class Snapshotter::Codec
     }
 
     static void
-    putLoop(Writer &w, const LoopPredictor &l)
+    putLoop(BinWriter &w, const LoopPredictor &l)
     {
         w.u64(l.table_.size());
         for (const auto &e : l.table_) {
@@ -450,7 +305,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getLoop(Reader &r, LoopPredictor &l)
+    getLoop(BinReader &r, LoopPredictor &l)
     {
         if (r.u64() != l.table_.size())
             SPT_FATAL("snapshot/config mismatch: loop table size");
@@ -465,7 +320,7 @@ class Snapshotter::Codec
     }
 
     static void
-    putBpu(Writer &w, const BranchPredictorUnit &bpu)
+    putBpu(BinWriter &w, const BranchPredictorUnit &bpu)
     {
         putTage(w, bpu.ltage_.tage_);
         putLoop(w, bpu.ltage_.loop_);
@@ -488,7 +343,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getBpu(Reader &r, BranchPredictorUnit &bpu)
+    getBpu(BinReader &r, BranchPredictorUnit &bpu)
     {
         getTage(r, bpu.ltage_.tage_);
         getLoop(r, bpu.ltage_.loop_);
@@ -513,7 +368,7 @@ class Snapshotter::Codec
 
     // --- Store sets ---------------------------------------------------
     static void
-    putStoreSets(Writer &w, const StoreSetPredictor &s)
+    putStoreSets(BinWriter &w, const StoreSetPredictor &s)
     {
         w.u64(s.ssit_.size());
         for (const int32_t v : s.ssit_)
@@ -527,7 +382,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getStoreSets(Reader &r, StoreSetPredictor &s)
+    getStoreSets(BinReader &r, StoreSetPredictor &s)
     {
         if (r.u64() != s.ssit_.size())
             SPT_FATAL("snapshot/config mismatch: SSIT size");
@@ -544,132 +399,76 @@ class Snapshotter::Codec
 
     // --- Data taint stores --------------------------------------------
     static void
-    putTaintStore(Writer &w, const SptEngine &eng)
+    putTaintStore(BinWriter &w, const SptEngine &eng)
     {
         const SptConfig &cfg = eng.config();
         const DataTaintStore *store = eng.taint_store_.get();
         if (cfg.shadow == ShadowKind::kShadowL1) {
-            if (cfg.storage == SptConfig::Storage::kBitplane) {
-                const auto &s =
-                    dynamic_cast<const PackedShadowL1 &>(*store);
-                w.u64(s.entries_.size());
-                for (const auto &e : s.entries_) {
-                    w.b(e.valid);
-                    w.u64(e.line_addr);
-                }
-                w.u64(s.taint_.size());
-                for (const uint64_t word : s.taint_)
-                    w.u64(word);
-                putStats(w, s.stats_);
-            } else {
-                const auto &s =
-                    dynamic_cast<const ShadowL1 &>(*store);
-                w.u64(s.entries_.size());
-                for (const auto &e : s.entries_) {
-                    w.b(e.valid);
-                    w.u64(e.line_addr);
-                    w.u64(e.taint.size());
-                    w.bytes(e.taint.data(), e.taint.size());
-                }
-                putStats(w, s.stats_);
+            const auto &s = dynamic_cast<const ShadowL1 &>(*store);
+            w.u64(s.entries_.size());
+            for (const auto &e : s.entries_) {
+                w.b(e.valid);
+                w.u64(e.line_addr);
             }
+            w.u64(s.taint_.size());
+            for (const uint64_t word : s.taint_)
+                w.u64(word);
+            putStats(w, s.stats_);
         } else if (cfg.shadow == ShadowKind::kShadowMem) {
-            if (cfg.storage == SptConfig::Storage::kBitplane) {
-                const auto &s =
-                    dynamic_cast<const PackedShadowMemory &>(*store);
-                std::vector<uint64_t> keys;
-                for (const auto &[page, words] : s.pages_)
-                    keys.push_back(page);
-                std::sort(keys.begin(), keys.end());
-                w.u64(keys.size());
-                for (const uint64_t page : keys) {
-                    w.u64(page);
-                    for (const uint64_t word : s.pages_.at(page))
-                        w.u64(word);
-                }
-            } else {
-                const auto &s =
-                    dynamic_cast<const ShadowMemory &>(*store);
-                std::vector<uint64_t> keys;
-                for (const auto &[page, bytes] : s.pages_)
-                    keys.push_back(page);
-                std::sort(keys.begin(), keys.end());
-                w.u64(keys.size());
-                for (const uint64_t page : keys) {
-                    w.u64(page);
-                    w.bytes(s.pages_.at(page).data(),
-                            ShadowMemory::kPageBytes);
-                }
+            const auto &s = dynamic_cast<const ShadowMemory &>(*store);
+            std::vector<uint64_t> keys;
+            for (const auto &[page, words] : s.pages_)
+                keys.push_back(page);
+            std::sort(keys.begin(), keys.end());
+            w.u64(keys.size());
+            for (const uint64_t page : keys) {
+                w.u64(page);
+                for (const uint64_t word : s.pages_.at(page))
+                    w.u64(word);
             }
         }
         // ShadowKind::kNone: NullTaintStore is stateless.
     }
 
     static void
-    getTaintStore(Reader &r, SptEngine &eng)
+    getTaintStore(BinReader &r, SptEngine &eng)
     {
         const SptConfig &cfg = eng.config();
         DataTaintStore *store = eng.taint_store_.get();
         if (cfg.shadow == ShadowKind::kShadowL1) {
-            if (cfg.storage == SptConfig::Storage::kBitplane) {
-                auto &s = dynamic_cast<PackedShadowL1 &>(*store);
-                if (r.u64() != s.entries_.size())
-                    SPT_FATAL("snapshot/config mismatch: shadow L1 "
-                              "geometry");
-                for (auto &e : s.entries_) {
-                    e.valid = r.b();
-                    e.line_addr = r.u64();
-                }
-                if (r.u64() != s.taint_.size())
-                    SPT_FATAL("snapshot/config mismatch: shadow L1 "
-                              "words");
-                for (uint64_t &word : s.taint_)
-                    word = r.u64();
-                getStats(r, s.stats_);
-            } else {
-                auto &s = dynamic_cast<ShadowL1 &>(*store);
-                if (r.u64() != s.entries_.size())
-                    SPT_FATAL("snapshot/config mismatch: shadow L1 "
-                              "geometry");
-                for (auto &e : s.entries_) {
-                    e.valid = r.b();
-                    e.line_addr = r.u64();
-                    if (r.u64() != e.taint.size())
-                        SPT_FATAL("snapshot/config mismatch: shadow "
-                                  "line bytes");
-                    r.bytes(e.taint.data(), e.taint.size());
-                }
-                getStats(r, s.stats_);
+            auto &s = dynamic_cast<ShadowL1 &>(*store);
+            if (r.u64() != s.entries_.size())
+                SPT_FATAL("snapshot/config mismatch: shadow L1 "
+                          "geometry");
+            for (auto &e : s.entries_) {
+                e.valid = r.b();
+                e.line_addr = r.u64();
             }
+            if (r.u64() != s.taint_.size())
+                SPT_FATAL("snapshot/config mismatch: shadow L1 "
+                          "words");
+            for (uint64_t &word : s.taint_)
+                word = r.u64();
+            getStats(r, s.stats_);
         } else if (cfg.shadow == ShadowKind::kShadowMem) {
-            if (cfg.storage == SptConfig::Storage::kBitplane) {
-                auto &s = dynamic_cast<PackedShadowMemory &>(*store);
-                s.pages_.clear();
-                const uint64_t n = r.u64();
-                for (uint64_t i = 0; i < n; ++i) {
-                    const uint64_t page = r.u64();
-                    auto &words = s.pages_[page];
-                    words.resize(PackedShadowMemory::kPageBytes / 64);
-                    for (uint64_t &word : words)
-                        word = r.u64();
-                }
-            } else {
-                auto &s = dynamic_cast<ShadowMemory &>(*store);
-                s.pages_.clear();
-                const uint64_t n = r.u64();
-                for (uint64_t i = 0; i < n; ++i) {
-                    const uint64_t page = r.u64();
-                    auto &bytes = s.pages_[page];
-                    bytes.resize(ShadowMemory::kPageBytes);
-                    r.bytes(bytes.data(), bytes.size());
-                }
+            auto &s = dynamic_cast<ShadowMemory &>(*store);
+            constexpr uint64_t kPageWords = ShadowMemory::kPageBytes / 64;
+            s.pages_.clear();
+            const uint64_t n = r.u64();
+            r.needItems(n, 8 + 8 * kPageWords);
+            for (uint64_t i = 0; i < n; ++i) {
+                const uint64_t page = r.u64();
+                auto &words = s.pages_[page];
+                words.resize(kPageWords);
+                for (uint64_t &word : words)
+                    word = r.u64();
             }
         }
     }
 
     // --- Fault injector -----------------------------------------------
     static void
-    putInjector(Writer &w, const FaultInjector *inj)
+    putInjector(BinWriter &w, const FaultInjector *inj)
     {
         w.b(inj != nullptr);
         if (inj == nullptr)
@@ -683,7 +482,7 @@ class Snapshotter::Codec
     }
 
     static void
-    getInjector(Reader &r, FaultInjector *inj)
+    getInjector(BinReader &r, FaultInjector *inj)
     {
         const bool present = r.b();
         if (present != (inj != nullptr))
@@ -713,7 +512,7 @@ Snapshotter::save(const Simulator &sim, std::ostream &os)
         SPT_FATAL("cannot snapshot an undrained pipeline (snapshots "
                   "are taken at the checkpoint barrier)");
 
-    Writer w(os);
+    BinWriter w;
     w.u64(kMagic);
     w.u32(kVersion);
     w.u64(core.cycle_);
@@ -729,7 +528,7 @@ Snapshotter::save(const Simulator &sim, std::ostream &os)
     const EngineConfig &ec = sim.config_.engine;
     w.u8(static_cast<uint8_t>(ec.scheme));
     w.u8(static_cast<uint8_t>(ec.spt.shadow));
-    w.u8(static_cast<uint8_t>(ec.spt.storage));
+    w.u8(0); // taint storage: 0 = bitplane, the only one left
     // Knowledge-map identity (0 = no map): a restore under a
     // different map would preclear differently from the run that
     // took the snapshot, breaking byte-identity.
@@ -787,7 +586,10 @@ Snapshotter::save(const Simulator &sim, std::ostream &os)
 
     Codec::putInjector(w, sim.injector_.get());
     w.u64(kMagic); // trailer: cheap integrity check
-    w.finish();
+    os.write(w.data().data(),
+             static_cast<std::streamsize>(w.data().size()));
+    if (!os)
+        SPT_FATAL("snapshot write failed (stream error)");
 }
 
 void
@@ -798,7 +600,8 @@ Snapshotter::restore(Simulator &sim, std::istream &is)
                "snapshot restore needs a freshly constructed "
                "simulator");
 
-    Reader r(is);
+    const std::string bytes = readAll(is);
+    BinReader r(bytes, "snapshot");
     if (r.u64() != kMagic)
         SPT_FATAL("not a snapshot (bad magic)");
     const uint32_t version = r.u32();
@@ -807,7 +610,7 @@ Snapshotter::restore(Simulator &sim, std::istream &is)
                   << " unsupported (expected " << kVersion << ")");
     const uint64_t cycle = r.u64();
     const uint64_t retired = r.u64();
-    const std::string engine_name = r.str();
+    const std::string engine_name = r.str(kMaxName);
     if (engine_name != core.engine_->name())
         SPT_FATAL("snapshot was taken under engine '" << engine_name
                   << "', this run uses '" << core.engine_->name()
@@ -821,12 +624,12 @@ Snapshotter::restore(Simulator &sim, std::istream &is)
     if (r.u8() != static_cast<uint8_t>(ec.scheme))
         SPT_FATAL("snapshot/config mismatch: protection scheme");
     const uint8_t shadow = r.u8();
-    const uint8_t storage = r.u8();
     if (ec.scheme == ProtectionScheme::kSpt &&
-        (shadow != static_cast<uint8_t>(ec.spt.shadow) ||
-         storage != static_cast<uint8_t>(ec.spt.storage)))
-        SPT_FATAL("snapshot/config mismatch: SPT shadow/storage "
-                  "kind");
+        shadow != static_cast<uint8_t>(ec.spt.shadow))
+        SPT_FATAL("snapshot/config mismatch: SPT shadow kind");
+    if (r.u8() != 0)
+        SPT_FATAL("snapshot uses the legacy byte-vector taint "
+                  "storage, which this build no longer has");
     const uint64_t map_hash = r.u64();
     const uint64_t want_hash =
         ec.scheme == ProtectionScheme::kSpt && ec.spt.knowledge_map
@@ -896,14 +699,15 @@ Snapshotter::restore(Simulator &sim, std::istream &is)
 SnapshotInfo
 Snapshotter::info(std::istream &is)
 {
-    Reader r(is);
+    const std::string bytes = readAll(is);
+    BinReader r(bytes, "snapshot");
     SnapshotInfo info;
     if (r.u64() != kMagic)
         SPT_FATAL("not a snapshot (bad magic)");
     info.version = r.u32();
     info.cycle = r.u64();
     info.retired = r.u64();
-    info.engine_name = r.str();
+    info.engine_name = r.str(kMaxName);
     info.code_size = r.u64();
     info.entry = r.u64();
     r.u64(); // data segment count

@@ -67,7 +67,7 @@ class Snapshotter
 
     /** Restores a snapshot into @p sim, which must be freshly
      *  constructed with a compatible configuration (same protection
-     *  scheme, shadow kind, taint storage, and program fingerprint)
+     *  scheme, shadow kind, and program fingerprint)
      *  and must not have run yet. SPT_FATAL on any mismatch,
      *  truncation, or version skew. */
     static void restore(Simulator &sim, std::istream &is);

@@ -10,9 +10,11 @@
  *
  *  - cold-with-barrier vs. save vs. restore: identical SimResult
  *    and identical stats.json text,
- *  - snapshot byte-determinism (two saves of the same run match),
+ *  - snapshot byte-determinism (two saves of the same run match,
+ *    and their hash is pinned),
  *  - header introspection (Snapshotter::info),
- *  - restore rejection on scheme/program mismatch and truncation,
+ *  - restore rejection on scheme/program mismatch, truncation, and
+ *    the deleted legacy taint storage,
  *  - ExpRunner sweeps forked from one snapshot file are identical
  *    to cold barrier runs, at any worker count.
  */
@@ -25,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "sim/exp_runner.h"
@@ -126,6 +129,10 @@ TEST(Checkpoint, SnapshotBytesAreDeterministic)
     }
     ASSERT_FALSE(bytes[0].empty());
     EXPECT_EQ(bytes[0], bytes[1]);
+    // The wire bytes themselves are pinned: a change here changes
+    // the checkpoint format (bump kVersion) or the simulation.
+    EXPECT_EQ(bytes[0].size(), 1025348u);
+    EXPECT_EQ(fnv1a(bytes[0]), 0xb6ae170467165349ull);
 }
 
 TEST(Checkpoint, InfoReadsTheHeader)
@@ -180,6 +187,27 @@ TEST(Checkpoint, RestoreRejectsMismatchesAndTruncation)
         Simulator other(program, barrierConfig());
         std::istringstream in(std::string(64, '\xee'));
         EXPECT_THROW(other.restoreSnapshot(in), FatalError);
+    }
+    { // Nonzero taint-storage byte: the deleted legacy storage.
+        std::istringstream header(bytes);
+        const SnapshotInfo info = Snapshotter::info(header);
+        // magic, version, cycle, retired, engine name, fingerprint,
+        // scheme, shadow kind
+        const size_t storage_at =
+            8 + 4 + 8 + 8 + 8 + info.engine_name.size() + 32 + 2;
+        std::string legacy = bytes;
+        ASSERT_EQ(legacy.at(storage_at), '\0');
+        legacy[storage_at] = 1;
+        Simulator other(program, barrierConfig());
+        std::istringstream in(legacy);
+        try {
+            other.restoreSnapshot(in);
+            ADD_FAILURE() << "legacy storage byte accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("legacy"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "common/binio.h"
 #include "common/bit_util.h"
 #include "common/byte_memory.h"
 #include "common/json.h"
@@ -275,6 +276,65 @@ TEST(Stats, HandlesSurviveSnapshotRestore)
               cold.core().engine().stats().counters());
     EXPECT_EQ(resumed.core().memorySystem().stats().counters(),
               cold.core().memorySystem().stats().counters());
+}
+
+TEST(Stats, HistogramWireRoundTripAndBucketBounds)
+{
+    Histogram h(4);
+    h.record(1);
+    h.record(9, 2);
+    BinWriter w;
+    h.encode(w);
+    BinReader r(w.data(), "test");
+    const Histogram back = Histogram::decode(r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(back.numBuckets(), 4u);
+    EXPECT_EQ(back.bucket(1), 1u);
+    EXPECT_EQ(back.bucket(3), 2u);
+    EXPECT_EQ(back.samples(), 3u);
+    EXPECT_EQ(back.sum(), 19u);
+    EXPECT_EQ(back.maxSample(), 9u);
+
+    // Crafted records: a bucket count of 0 or over 2^20, or buckets
+    // the input does not hold, is corrupt input (FatalError) — never
+    // an assertion (PanicError) or an allocation sized by the count.
+    for (const uint64_t buckets :
+         {uint64_t{0}, (uint64_t{1} << 20) + 1, uint64_t{1} << 20,
+          ~uint64_t{0}}) {
+        BinWriter bad;
+        bad.u64(buckets);
+        for (int i = 0; i < 4; ++i)
+            bad.u64(0);
+        BinReader br(bad.data(), "test");
+        EXPECT_THROW(Histogram::decode(br), FatalError)
+            << buckets << " buckets";
+    }
+}
+
+TEST(Stats, StatMapDecodersRejectImplausibleCounts)
+{
+    BinWriter w;
+    w.u64(uint64_t{1} << 40); // entries announced, none present
+    BinReader counters(w.data(), "test");
+    EXPECT_THROW(decodeCounters(counters), FatalError);
+    BinReader hists(w.data(), "test");
+    EXPECT_THROW(decodeHistograms(hists), FatalError);
+
+    // Within the entry bound but past the input.
+    BinWriter few;
+    few.u64(3);
+    few.str("a");
+    few.u64(1);
+    BinReader short_in(few.data(), "test");
+    EXPECT_THROW(decodeCounters(short_in), FatalError);
+
+    std::map<std::string, uint64_t> in = {{"a", 1}, {"bb", 2}};
+    BinWriter ok;
+    encodeCounters(ok, in);
+    BinReader ok_in(ok.data(), "test");
+    EXPECT_EQ(decodeCounters(ok_in), in);
+    BinReader capped(ok.data(), "test");
+    EXPECT_THROW(decodeCounters(capped, 1), FatalError);
 }
 
 TEST(Stats, HistogramMeanAndCdf)

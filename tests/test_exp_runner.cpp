@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "common/parallel.h"
 #include "core/knowledge_map.h"
 #include "sim/exp_runner.h"
@@ -219,9 +220,6 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     j.interval_stats = 1000;
     expect_fresh(j, "interval_stats");
     j = job;
-    j.engine.spt.storage = SptConfig::Storage::kLegacy;
-    expect_fresh(j, "taint storage");
-    j = job;
     j.fast_forward = true;
     expect_fresh(j, "fast_forward");
     j = job;
@@ -344,6 +342,37 @@ TEST(ResultCache, ColdThenWarmOutcomesAreByteIdentical)
             << "slot " << i;
         EXPECT_EQ(a[i].job_desc, b[i].job_desc) << "slot " << i;
     }
+
+    // The SPTRES01 payload bytes of a fixed outcome are pinned, and
+    // decode inverts encode.
+    RunOutcome o;
+    o.result.cycles = 1234;
+    o.result.instructions = 567;
+    o.result.halted = true;
+    o.result.ipc = 0.5;
+    o.result.termination = Termination::kMaxCycles;
+    o.host_seconds = 1.25;
+    o.error = "e";
+    o.diagnostics_json = "[]";
+    o.engine_counters = {{"untaint.a", 3}, {"untaint.b", 0}};
+    Histogram h(4);
+    h.record(1);
+    h.record(9, 2);
+    o.engine_histograms.emplace("lat", h);
+    o.trace_text = "t";
+    o.trace_pipeview = "p";
+    o.profile_json = "{}";
+    o.intervals_json = "[1]";
+    o.fault_counters = {{"fault.x.draws", 7}};
+    o.arch_regs[1] = 42;
+    o.arch_regs[31] = ~uint64_t{0};
+    o.evidence_trace = "ev";
+    o.reproduced = true;
+    const std::string wire = ResultCache::encodeOutcome(o);
+    EXPECT_EQ(wire.size(), 538u);
+    EXPECT_EQ(fnv1a(wire), 0x4e0b7566af60e205ull);
+    EXPECT_EQ(ResultCache::encodeOutcome(ResultCache::decodeOutcome(wire)),
+              wire);
 }
 
 TEST(ResultCache, CorruptedEntryFallsBackToSimulation)
@@ -466,6 +495,25 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
     EXPECT_NE(ResultCache::canonicalKey(ja),
               ResultCache::canonicalKey(jc));
 
+    // The exact key of one fixed job is pinned: existing caches (and
+    // the CI cache keyed on record_golden_stats --fingerprints) stay
+    // warm only while these bytes hold.
+    RunJob fixed = ja;
+    fixed.engine.scheme = ProtectionScheme::kSpt;
+    fixed.engine.spt.method = UntaintMethod::kBackward;
+    fixed.engine.spt.shadow = ShadowKind::kShadowMem;
+    fixed.attack_model = AttackModel::kSpectre;
+    fixed.seed = 3;
+    fixed.max_cycles = 100000;
+    fixed.faults.seed = 9;
+    fixed.faults.rate_ppm[1] = 250;
+    fixed.fast_forward = true;
+    EXPECT_EQ(ResultCache::canonicalKey(fixed),
+              "resv1|prog=93315c7f8c4097d4|sch=3|m=2|sh=2|bw=3|st=0"
+              "|mut=0|km=0000000000000000|am=0|seed=3|mc=100000|tr=0"
+              "|pf=0|iv=0|inv=0|wd=0|ff=1|ca=0|fs=9|f0=0|f1=250|f2=0"
+              "|f3=0|f4=0|f5=0|ck=0");
+
     // Uncacheable descriptors produce no key: wall-clock-capped
     // jobs (schedule-dependent outcome) and unreadable checkpoints.
     RunJob capped = ja;
@@ -510,9 +558,6 @@ TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
     j = job;
     j.engine.spt.broadcast_width = 7;
     expect_fresh(j, "broadcast width");
-    j = job;
-    j.engine.spt.storage = SptConfig::Storage::kLegacy;
-    expect_fresh(j, "taint storage");
     j = job;
     j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
     expect_fresh(j, "mutation");

@@ -7,7 +7,9 @@
  *
  *  - the emitted map matches the analysis fact-for-fact,
  *  - binary round-trip (stream and file) is identity,
- *  - corrupted / truncated / foreign artifacts are rejected,
+ *  - the wire bytes of a fixed map are pinned,
+ *  - corrupted / truncated / foreign artifacts are rejected, as is
+ *    a count the input cannot hold (before allocating for it),
  *  - validateFor refuses stale fingerprints and mismatched VP
  *    models (the Simulator runs it at construction),
  *  - the relaxed engine pre-declassifies without ever diverging
@@ -95,6 +97,21 @@ TEST(KnowledgeMap, BinaryRoundTripIsIdentity)
     EXPECT_EQ(map, loaded);
     EXPECT_EQ(map.contentHash(), loaded.contentHash());
     EXPECT_EQ(loaded.vpModel(), KnowledgeVpModel::kSpectre);
+
+    // The SPTKMAP1 wire bytes of a fixed map are pinned.
+    const KnowledgeMap fixed(0x0123456789abcdefull,
+                             KnowledgeVpModel::kFuturistic,
+                             {0u, 5u, 0x80000001u});
+    std::ostringstream fixed_os;
+    fixed.save(fixed_os);
+    std::string hex;
+    for (const char c : fixed_os.str()) {
+        char b[3];
+        std::snprintf(b, sizeof b, "%02x", static_cast<uint8_t>(c));
+        hex += b;
+    }
+    EXPECT_EQ(hex, "3150414d4b54505301efcdab896745230101010103000000"
+                   "0000000000000000050000000100008025441a175b344601");
 }
 
 TEST(KnowledgeMap, FileRoundTripIsIdentity)
@@ -127,6 +144,20 @@ TEST(KnowledgeMap, RejectsTruncation)
         EXPECT_THROW(KnowledgeMap::load(is), FatalError)
             << "prefix length " << len;
     }
+}
+
+TEST(KnowledgeMap, RejectsACountPastTheInput)
+{
+    // A bare header announcing 2^32 pcs: refused before the 16 GiB
+    // table is allocated.
+    std::ostringstream os;
+    KnowledgeMap().save(os);
+    std::string bytes = os.str().substr(0, 20);
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(i == 4 ? '\x01' : '\0');
+    ASSERT_EQ(bytes.size(), 28u);
+    std::istringstream is(bytes);
+    EXPECT_THROW(KnowledgeMap::load(is), FatalError);
 }
 
 TEST(KnowledgeMap, RejectsBitrot)

@@ -22,11 +22,16 @@
  * Only re-record when an intentional semantic change shifts the
  * counters, and justify the delta in the PR description; pure
  * performance work on the SPT engine must leave them untouched.
+ *
+ * Exits through toolMain: 2 on a malformed flag, 1 if a golden case
+ * does not halt.
  */
 
 #include <cstdio>
 #include <string>
 
+#include "common/binio.h"
+#include "common/cli.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
@@ -39,6 +44,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    return toolMain("record_golden_stats", [&] {
     bool fingerprints = false;
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--fingerprints")
@@ -66,17 +72,10 @@ main(int argc, char **argv)
         // the cached outcome for that case could change.
         printf("# golden-suite result-cache fingerprints "
                "(FNV-1a of ResultCache::canonicalKey)\n");
-        for (size_t i = 0; i < suite.size(); ++i) {
-            const std::string key =
-                ResultCache::canonicalKey(grid[i]);
-            uint64_t h = 1469598103934665603ull;
-            for (const char c : key) {
-                h ^= static_cast<unsigned char>(c);
-                h *= 1099511628211ull;
-            }
+        for (size_t i = 0; i < suite.size(); ++i)
             printf("%s %016llx\n", suite[i].name.c_str(),
-                   static_cast<unsigned long long>(h));
-        }
+                   static_cast<unsigned long long>(
+                       fnv1a(ResultCache::canonicalKey(grid[i]))));
         return 0;
     }
 
@@ -91,8 +90,11 @@ main(int argc, char **argv)
     for (size_t i = 0; i < suite.size(); ++i) {
         const GoldenCase &c = suite[i];
         const RunOutcome &out = outcomes[i];
-        if (!out.result.halted)
-            SPT_FATAL("golden case " << c.name << " did not halt");
+        if (!out.result.halted) {
+            fprintf(stderr, "golden case %s did not halt\n",
+                    c.name.c_str());
+            return 1;
+        }
         printf("{\"%s\",\n {\n", c.name.c_str());
         size_t recorded = 0;
         for (const auto &[name, value] : out.engine_counters) {
@@ -107,4 +109,5 @@ main(int argc, char **argv)
                 c.name.c_str(), recorded);
     }
     return 0;
+    });
 }
