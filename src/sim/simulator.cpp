@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include "common/binio.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "core/knowledge_map.h"
@@ -212,6 +213,25 @@ Simulator::dumpStatsJson(JsonWriter &jw) const
     jw.key("bpu");
     core.bpu().stats().dumpJson(jw);
     jw.endObject();
+}
+
+uint64_t
+Simulator::countersFingerprint() const
+{
+    Core &core = const_cast<Core &>(*core_);
+    std::map<std::string, uint64_t> all;
+    const auto merge = [&all](const std::string &prefix,
+                              const StatSet &set) {
+        for (const auto &[name, value] : set.counters())
+            all.emplace(prefix + name, value);
+    };
+    merge("core.", core.stats());
+    merge("engine.", core.engine().stats());
+    merge("mem.", core.memorySystem().stats());
+    merge("bpu.", core.bpu().stats());
+    BinWriter w;
+    encodeCounters(w, all);
+    return fnv1a(w.data());
 }
 
 uint64_t

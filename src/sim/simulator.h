@@ -123,6 +123,12 @@ class Simulator
      *  reusing StatSet::dumpJson — no second serializer. */
     void dumpStatsJson(JsonWriter &jw) const;
 
+    /** FNV-1a (common/binio.h) of every counter dumpStats prints,
+     *  merged into one sorted map under the stat() component
+     *  prefixes ("core.", "engine.", "mem.", "bpu.") and encoded
+     *  with encodeCounters. tests/golden_full_stats.inc pins it. */
+    uint64_t countersFingerprint() const;
+
     /** Counter lookup across components, e.g. "core.cycles",
      *  "engine.untaint.forward", "mem.l1_hits". */
     uint64_t stat(const std::string &name) const;
