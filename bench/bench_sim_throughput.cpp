@@ -109,7 +109,8 @@ main(int argc, char **argv)
 
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
-    reportSweep(runner);
+    if (!reportSweep(runner))
+        return 1;
 
     printf("=== Simulator host throughput (Minstr/s = simulated "
            "Minstr per host second) ===\n\n");

@@ -88,8 +88,10 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
  *  byte-identical across --jobs values). Routed through
  *  spt::report() — the unconditional operator channel — so the
  *  `[sweep]`/`[cache]` lines CI greps out of stderr survive any
- *  SPT_LOG_LEVEL and the benches' setVerbose(false). */
-inline void
+ *  SPT_LOG_LEVEL and the benches' setVerbose(false). Returns false,
+ *  after reporting sweepFailure, when a slot did not halt normally:
+ *  the caller exits 1 instead of printing that slot as a number. */
+[[nodiscard]] inline bool
 reportSweep(const ExpRunner &runner)
 {
     const SweepStats &s = runner.lastSweep();
@@ -116,6 +118,10 @@ reportSweep(const ExpRunner &runner)
                  s.cache.host_seconds_saved);
         report(line);
     }
+    const std::string failure = sweepFailure(s);
+    if (!failure.empty())
+        report("[sweep] refused: " + failure);
+    return failure.empty();
 }
 
 /** The workload-name lists the figure drivers sweep, honoring

@@ -72,7 +72,8 @@ main(int argc, char **argv)
 
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
-    reportSweep(runner);
+    if (!reportSweep(runner))
+        return 1;
     auto at = [&](size_t mi, size_t wi, size_t ci) -> const RunOutcome & {
         return outcomes[(mi * names.size() + wi) * configs.size() +
                         ci];
@@ -263,7 +264,8 @@ main(int argc, char **argv)
         }
     }
     const std::vector<RunOutcome> routs = runner.run(rgrid);
-    reportSweep(runner);
+    if (!reportSweep(runner))
+        return 1;
     auto rat = [&](size_t mi, size_t wi, size_t ci)
         -> const RunOutcome & {
         return routs[(mi * names.size() + wi) * rn + ci];

@@ -60,7 +60,8 @@ main(int argc, char **argv)
 
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
-    reportSweep(runner);
+    if (!reportSweep(runner))
+        return 1;
 
     printf("=== Figure 8: untaint-event breakdown, "
            "SPT{Bwd,ShadowL1} ===\n");

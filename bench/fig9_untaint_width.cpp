@@ -71,7 +71,8 @@ main(int argc, char **argv)
 
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
-    reportSweep(runner);
+    if (!reportSweep(runner))
+        return 1;
     const size_t stride = 1 + num_widths;
 
     JsonWriter json;

@@ -388,6 +388,15 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     return outcomes;
 }
 
+std::string
+sweepFailure(const SweepStats &s)
+{
+    if (s.failed_jobs == 0)
+        return {};
+    return std::to_string(s.failed_jobs) +
+           " job(s) did not halt normally; first: " + s.first_failure;
+}
+
 void
 sweepReportJson(JsonWriter &jw, const std::vector<RunJob> &grid,
                 const std::vector<RunOutcome> &outcomes,

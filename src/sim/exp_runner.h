@@ -304,6 +304,14 @@ class ExpRunner
     SweepStats last_;
 };
 
+/** Empty when every slot of the sweep @p s describes halted
+ *  normally; otherwise a one-line refusal naming the failed-slot
+ *  count and first_failure. A slot cut off by its cycle budget or a
+ *  wall-clock cap, livelocked or flagged by the invariant checker
+ *  has no meaningful cycle count, so the figure drivers print this
+ *  and exit 1 rather than render such a slot as an overhead. */
+std::string sweepFailure(const SweepStats &s);
+
 /** Deterministic JSON report of a finished sweep: per-slot status,
  *  counters, diagnostics and fault telemetry plus the sweep summary.
  *  Host-dependent fields (host_seconds, wall_seconds, workers) are

@@ -260,6 +260,30 @@ TEST(ExpRunner, ThrowingJobFailsSweepCleanly)
     EXPECT_THROW(ExpRunner(4).run(grid), PanicError);
 }
 
+TEST(ExpRunner, SweepCheckRefusesCappedSlots)
+{
+    // A cycle budget far below the run length: the slots end as
+    // kTimeout, which run() returns rather than throws. The shared
+    // check the figure drivers exit 1 on must refuse the sweep and
+    // name the first failed slot.
+    const TestPrograms p;
+    std::vector<RunJob> grid = mixedGrid(p);
+    ExpRunner runner(2);
+    runner.run(grid);
+    EXPECT_EQ(sweepFailure(runner.lastSweep()), "");
+
+    for (RunJob &job : grid)
+        job.max_cycles = 500;
+    const std::vector<RunOutcome> capped = runner.run(grid);
+    EXPECT_EQ(capped[0].status, RunStatus::kTimeout);
+    const SweepStats &s = runner.lastSweep();
+    EXPECT_EQ(s.failed_jobs, grid.size());
+    const std::string why = sweepFailure(s);
+    ASSERT_NE(why, "");
+    EXPECT_NE(why.find(s.first_failure), std::string::npos) << why;
+    EXPECT_EQ(s.first_failure, capped[0].job_desc);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
     constexpr size_t kN = 257;
