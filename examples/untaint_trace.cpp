@@ -89,7 +89,7 @@ iter:
     for (int c = 0; c < 3000 && !core.halted(); ++c) {
         core.tick();
         // Find the in-flight instructions of interest by pc.
-        DynInstPtr i1, i2, i3;
+        DynInstPtr i1 = nullptr, i2 = nullptr, i3 = nullptr;
         for (const DynInstPtr &d : core.rob()) {
             if (d->pc == 14) i1 = d;
             if (d->pc == 15) i2 = d;

@@ -15,14 +15,60 @@
 #ifndef SPT_BP_DIRECTION_PREDICTOR_H
 #define SPT_BP_DIRECTION_PREDICTOR_H
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+
+#include "common/logging.h"
 
 namespace spt {
 
-/** Opaque speculative-history checkpoint. */
+/** Most tagged tables a TAGE checkpoint can hold; TagePredictor
+ *  refuses a larger config with a FatalError. */
+constexpr unsigned kMaxTageTables = 4;
+
+/** Opaque speculative-history checkpoint. Every predicted control
+ *  instruction takes one, so the words are held inline: TAGE's
+ *  history head plus three folded registers per table. */
 struct BpCheckpoint {
-    std::vector<uint64_t> words;
+    static constexpr std::size_t kMaxWords = 1 + 3 * kMaxTageTables;
+
+    /** A word list of at most kMaxWords entries. */
+    class Words
+    {
+      public:
+        Words() = default;
+        Words(std::initializer_list<uint64_t> init)
+        {
+            resize(init.size());
+            std::copy(init.begin(), init.end(), w_.begin());
+        }
+
+        void
+        resize(std::size_t n)
+        {
+            SPT_ASSERT(n <= kMaxWords, "BpCheckpoint overflow");
+            n_ = static_cast<uint8_t>(n);
+        }
+        std::size_t size() const { return n_; }
+        uint64_t &operator[](std::size_t i) { return w_[i]; }
+        uint64_t operator[](std::size_t i) const { return w_[i]; }
+
+        bool
+        operator==(const Words &o) const
+        {
+            return std::equal(w_.begin(), w_.begin() + n_,
+                              o.w_.begin(), o.w_.begin() + o.n_);
+        }
+
+      private:
+        std::array<uint64_t, kMaxWords> w_{};
+        uint8_t n_ = 0;
+    };
+
+    Words words;
 };
 
 class DirectionPredictor

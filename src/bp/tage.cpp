@@ -9,6 +9,11 @@ TagePredictor::TagePredictor(const TageConfig &config)
 {
     SPT_ASSERT(config_.history_lengths.size() == config_.num_tables,
                "history_lengths must have one entry per table");
+    if (config_.num_tables > kMaxTageTables)
+        SPT_FATAL("TAGE config has " << config_.num_tables
+                  << " tagged tables; a branch checkpoint holds at "
+                     "most "
+                  << kMaxTageTables << " (bp/direction_predictor.h)");
     tables_.assign(config_.num_tables,
                    std::vector<Entry>(size_t{1} << config_.index_bits));
     initHistoryState(spec_);
@@ -202,8 +207,8 @@ TagePredictor::update(uint64_t pc, bool taken)
 BpCheckpoint
 TagePredictor::checkpoint() const
 {
-    // Sized once: every predicted control instruction (wrong-path
-    // ones included) takes a checkpoint.
+    // Inline storage: every predicted control instruction
+    // (wrong-path ones included) takes a checkpoint.
     BpCheckpoint cp;
     cp.words.resize(1 + 3 * size_t{config_.num_tables});
     cp.words[0] = spec_.history.head();

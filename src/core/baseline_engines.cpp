@@ -1,5 +1,6 @@
 #include "core/baseline_engines.h"
 
+#include "common/logging.h"
 #include "uarch/core.h"
 
 namespace spt {
@@ -10,7 +11,10 @@ SttEngine::attach(Core &core)
     SecurityEngine::attach(core);
     // Architectural state present before execution is, by STT's
     // definition, non-speculatively accessed: no roots.
-    root_.assign(core.physRegs().numRegs(), 0);
+    root_.assign(core.physRegs().numRegs(), RootRef{});
+    roots_.assign(core.params().lq_size, RootSlot{});
+    roots_head_ = 0;
+    roots_count_ = 0;
 }
 
 void
@@ -20,28 +24,60 @@ SttEngine::onRename(DynInst &d)
         return;
     if (d.is_load) {
         // Access instruction: its own output is the taint root.
-        root_[d.prd] = d.seq;
+        SPT_ASSERT(roots_count_ < roots_.size(),
+                   "more root loads in flight than LQ entries");
+        const std::size_t slot =
+            (roots_head_ + roots_count_++) % roots_.size();
+        roots_[slot] = {d.seq, &d};
+        root_[d.prd] = {d.seq, static_cast<uint32_t>(slot)};
         return;
     }
-    SeqNum root = 0;
+    RootRef root;
     if (d.num_srcs >= 1 && rootLive(root_[d.prs1]))
         root = root_[d.prs1];
     if (d.num_srcs >= 2 && rootLive(root_[d.prs2]) &&
-        root_[d.prs2] > root)
+        root_[d.prs2].seq > root.seq)
         root = root_[d.prs2];
     root_[d.prd] = root;
 }
 
-bool
-SttEngine::rootLive(SeqNum root) const
+void
+SttEngine::onRetire(const DynInst &d)
 {
-    if (root == 0)
-        return false;
-    const DynInst *d = core_->findInst(root);
-    // Retired or squashed roots no longer taint; a root that reached
-    // the VP s-untaints all dependents in the same cycle (STT's
-    // single-cycle untaint).
-    return d != nullptr && !d->at_vp;
+    // Retired roots no longer taint.
+    if (roots_count_ != 0 && roots_[roots_head_].seq == d.seq) {
+        roots_[roots_head_].seq = 0;
+        roots_head_ = (roots_head_ + 1) % roots_.size();
+        --roots_count_;
+    }
+}
+
+void
+SttEngine::onSquash(const DynInst &d)
+{
+    // Squashed roots no longer taint.
+    if (roots_count_ == 0)
+        return;
+    const std::size_t tail =
+        (roots_head_ + roots_count_ - 1) % roots_.size();
+    if (roots_[tail].seq == d.seq) {
+        roots_[tail].seq = 0;
+        --roots_count_;
+    }
+}
+
+bool
+SttEngine::taintRootsConsistent() const
+{
+    // The reference: a root taints iff the ROB still holds its load
+    // short of the VP (STT's single-cycle untaint at the VP).
+    for (const RootRef &root : root_) {
+        const DynInst *d =
+            root.seq != 0 ? core_->findInst(root.seq) : nullptr;
+        if (rootLive(root) != (d != nullptr && !d->at_vp))
+            return false;
+    }
+    return true;
 }
 
 bool

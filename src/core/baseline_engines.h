@@ -13,6 +13,8 @@
  *    transmitters/branches with s-tainted operands are delayed.
  *    Untainting is implicit and single-cycle: a root that reached
  *    the VP (or left the pipeline) no longer taints its dependents.
+ *    In-flight roots sit in a ring indexed from each register's
+ *    root reference, so a liveness check is one slot read.
  */
 
 #ifndef SPT_CORE_BASELINE_ENGINES_H
@@ -77,6 +79,8 @@ class SttEngine : public SecurityEngine
     const char *name() const override { return "stt"; }
 
     void onRename(DynInst &d) override;
+    void onRetire(const DynInst &d) override;
+    void onSquash(const DynInst &d) override;
 
     bool mayAccessMemory(const DynInst &d) const override;
     bool mayResolveBranch(const DynInst &d) const override;
@@ -112,12 +116,43 @@ class SttEngine : public SecurityEngine
     }
     uint64_t taintedRegCount() const override;
 
-  private:
-    StatSet::Counter mem_blocked_checks_;
-    /** Youngest root of taint per physical register; 0 = none. */
-    std::vector<SeqNum> root_;
+    /** Slot liveness equals the ROB's: for every register's root,
+     *  rootLive matches the Core::findInst reference. */
+    bool taintRootsConsistent() const override;
 
-    bool rootLive(SeqNum root) const;
+  private:
+    /** An in-flight root load; seq is 0 once it retired or was
+     *  squashed. */
+    struct RootSlot {
+        SeqNum seq = 0;
+        const DynInst *inst = nullptr;
+    };
+    /** A register's youngest root of taint: the root load's seq
+     *  (0 = none) and its slot in roots_. */
+    struct RootRef {
+        SeqNum seq = 0;
+        uint32_t slot = 0;
+    };
+
+    StatSet::Counter mem_blocked_checks_;
+    std::vector<RootRef> root_;
+    /** Ring of the in-flight root loads in rename order: pushed at
+     *  rename, popped from the head at retire and from the tail at
+     *  squash (the core squashes youngest first). Sized by the load
+     *  queue, which bounds the loads in flight. */
+    std::vector<RootSlot> roots_;
+    std::size_t roots_head_ = 0;
+    std::size_t roots_count_ = 0;
+
+    /** A root taints while its load is in flight short of the VP. */
+    bool
+    rootLive(RootRef root) const
+    {
+        if (root.seq == 0)
+            return false;
+        const RootSlot &s = roots_[root.slot];
+        return s.seq == root.seq && !s.inst->at_vp;
+    }
 };
 
 } // namespace spt

@@ -1010,8 +1010,8 @@ SptEngine::broadcastPhase()
     // Drain raised flags in arbitration order (a head-to-tail bitmap
     // scan: older instruction first, destination before sources) up
     // to the structural width.
-    std::vector<Broadcast> chosen;
-    chosen.reserve(width);
+    std::vector<Broadcast> &chosen = chosen_;
+    chosen.clear();
     uint64_t pos;
     unsigned k;
     while (chosen.size() < width &&

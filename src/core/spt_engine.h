@@ -198,7 +198,7 @@ class SptEngine : public SecurityEngine
         InstTaint it;
         SeqNum seq = 0;
         /** Owning instruction; stable while `live` (freed before the
-         *  core drops its DynInstPtr at retire/squash). */
+         *  core releases its slab slot at retire/squash). */
         const DynInst *inst = nullptr;
         bool live = false;
         bool in_local_queue = false;    ///< queued for local rules
@@ -256,11 +256,13 @@ class SptEngine : public SecurityEngine
     RingBitmap stl_candidates_;
     RingBitmap shadow_candidates_;
 
-    // Scratch for the per-cycle broadcast phase.
+    // Scratch for the per-cycle broadcast phase, kept across cycles
+    // so the phase does not allocate.
     struct Broadcast {
         PhysReg reg;
         TaintMask mask;
     };
+    std::vector<Broadcast> chosen_;
 
     /** Registers whose master taint shrank this cycle (Figure 9). */
     unsigned untainted_regs_this_cycle_ = 0;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <new>
+
+#include <sanitizer/asan_interface.h>
 
 #include "common/logging.h"
 
@@ -55,6 +58,19 @@ Core::Core(Program program, const CoreParams &params,
       fetch_pc_(program_.entry())
 {
     SPT_ASSERT(engine_ != nullptr, "core needs a security engine");
+    // Live instructions are the ROB plus the fetch queue, which a
+    // fetch group may overrun by fetch_width - 1 entries.
+    const std::size_t slots = std::size_t{params_.rob_size} +
+                              params_.fetch_queue_size +
+                              params_.fetch_width;
+    slab_ = std::make_unique<DynInst[]>(slots);
+    slot_seq_.assign(slots, 0);
+    free_slots_.resize(slots);
+    for (std::size_t i = 0; i < slots; ++i)
+        free_slots_[i] = static_cast<uint32_t>(i);
+    free_count_ = slots;
+    ASAN_POISON_MEMORY_REGION(slab_.get(), slots * sizeof(DynInst));
+    waiters_.resize(params_.num_phys_regs);
     program_.loadInto(mem_);
     // Architectural initial state: sp points at the stack top. The
     // initial RAT maps xN -> phys N, so write phys kRegSp directly.
@@ -75,23 +91,40 @@ Core::findInst(SeqNum seq) const
     const auto it = std::lower_bound(
         rob_.begin(), rob_.end(), seq,
         [](const DynInstPtr &d, SeqNum s) { return d->seq < s; });
-    return it != rob_.end() && (*it)->seq == seq ? it->get() : nullptr;
+    return it != rob_.end() && (*it)->seq == seq ? *it : nullptr;
+}
+
+DynInst *
+Core::allocInst(SeqNum seq)
+{
+    SPT_ASSERT(free_count_ != 0, "DynInst slab exhausted");
+    const uint32_t slot = free_slots_[free_head_];
+    free_head_ = (free_head_ + 1) % free_slots_.size();
+    --free_count_;
+    DynInst *d = &slab_[slot];
+    ASAN_UNPOISON_MEMORY_REGION(d, sizeof(DynInst));
+    // Default-initialised like a fresh record; the branch checkpoint
+    // is left for fetch to fill.
+    ::new (d) DynInst;
+    d->seq = seq;
+    slot_seq_[slot] = seq;
+    return d;
+}
+
+void
+Core::releaseInst(DynInst *d)
+{
+    const uint32_t slot = refOf(*d).slot;
+    slot_seq_[slot] = 0;
+    free_slots_[(free_head_ + free_count_) % free_slots_.size()] = slot;
+    ++free_count_;
+    ASAN_POISON_MEMORY_REGION(d, sizeof(DynInst));
 }
 
 uint64_t
 Core::readOperand(PhysReg reg) const
 {
     return reg == kNoPhysReg ? 0 : prf_.value(reg);
-}
-
-bool
-Core::operandsReady(const DynInst &d) const
-{
-    if (d.num_srcs >= 1 && !prf_.ready(d.prs1))
-        return false;
-    if (d.num_srcs >= 2 && !prf_.ready(d.prs2))
-        return false;
-    return true;
 }
 
 unsigned
@@ -261,9 +294,8 @@ Core::quiescentCycle() const
             return false;
     }
     // Issue: any ready reservation-station entry would issue.
-    for (const DynInstPtr &d : rs_)
-        if (operandsReady(*d))
-            return false;
+    if (!ready_.empty())
+        return false;
     // Squash gates (stats-pure on every engine).
     for (const DynInstPtr &d : pending_squashes_) {
         if (d->squash_pending && engine_->mayResolveBranch(*d))
@@ -345,8 +377,7 @@ Core::tryFastForward(uint64_t max_cycles,
     // work. max_cycles itself still ticks for real (matching the
     // run() loop bound), as does the watchdog-tripping cycle.
     uint64_t wake = max_cycles;
-    if (!completion_events_.empty())
-        wake = std::min(wake, completion_events_.begin()->first);
+    wake = std::min(wake, completions_.nextCycle());
     if (fetch_stall_until_ > cycle_)
         wake = std::min(wake, fetch_stall_until_);
     if (!fetch_queue_.empty() &&
@@ -409,8 +440,7 @@ Core::fetchStage()
             icache_latency = res.latency;
         }
 
-        auto d = std::make_shared<DynInst>();
-        d->seq = next_seq_++;
+        DynInst *d = allocInst(next_seq_++);
         d->pc = pc;
         d->si = program_.at(pc);
         const OpTraits &t = opTraits(d->si.op);
@@ -479,7 +509,7 @@ Core::renameHazardStat(const DynInst &d) const
         return &ctr_.rename_lq_full;
     if (d.is_store && sq_.size() >= params_.sq_size)
         return &ctr_.rename_sq_full;
-    if (needsReservationStation(d) && rs_.size() >= params_.rs_size)
+    if (needsReservationStation(d) && rs_count_ >= params_.rs_size)
         return &ctr_.rename_rs_full;
     return nullptr;
 }
@@ -511,6 +541,8 @@ Core::renameDispatchStage()
             d->prev_prd = rat_.lookup(d->si.rd);
             d->prd = prf_.allocate();
             rat_.set(d->si.rd, d->prd);
+            // A free register has no live waiters; drop stale ones.
+            waiters_[d->prd].clear();
         }
         if (observer_)
             observer_->rename(cycle_, *d);
@@ -528,7 +560,7 @@ Core::renameDispatchStage()
             store_sets_.storeRenamed(d->pc, d->seq);
         }
         if (needs_rs) {
-            rs_.push_back(d);
+            enterReservationStation(*d);
         } else {
             // NOP/HALT/plain JAL complete at dispatch.
             d->executed = true;
@@ -545,6 +577,40 @@ Core::renameDispatchStage()
 // --------------------------------------------------------------------
 
 void
+Core::enterReservationStation(DynInst &d)
+{
+    d.in_rs = true;
+    ++rs_count_;
+    if (d.num_srcs >= 1 && !prf_.ready(d.prs1)) {
+        waiters_[d.prs1].push_back(refOf(d));
+        ++d.pending_srcs;
+    }
+    if (d.num_srcs >= 2 && !prf_.ready(d.prs2)) {
+        waiters_[d.prs2].push_back(refOf(d));
+        ++d.pending_srcs;
+    }
+    // The youngest instruction in flight: appending keeps seq order.
+    if (d.pending_srcs == 0)
+        ready_.push_back(&d);
+}
+
+void
+Core::writeReg(PhysReg reg, uint64_t value)
+{
+    prf_.write(reg, value);
+    for (const InstRef &ref : waiters_[reg]) {
+        DynInst *d = liveInst(ref);
+        if (!d || --d->pending_srcs != 0)
+            continue;
+        const auto it = std::upper_bound(
+            ready_.begin(), ready_.end(), d->seq,
+            [](SeqNum s, const DynInstPtr &e) { return s < e->seq; });
+        ready_.insert(it, d);
+    }
+    waiters_[reg].clear();
+}
+
+void
 Core::issueStage()
 {
     unsigned issue_width = params_.issue_width;
@@ -553,15 +619,13 @@ Core::issueStage()
         issue_width = 0;
         stats_.inc(ctr_.fault_issue_stall_cycles);
     }
-    unsigned issued = 0;
-    // rs_ is kept in program order (dispatch order); oldest first.
-    for (const DynInstPtr &d : rs_) {
-        if (issued >= issue_width)
-            break;
-        if (d->issued || !operandsReady(*d))
-            continue;
+    // Oldest first: the ready list is in seq order.
+    const std::size_t n = std::min<std::size_t>(issue_width,
+                                                ready_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        DynInst *d = ready_[i];
+        d->in_rs = false;
         d->issued = true;
-        ++issued;
         stats_.inc(ctr_.issue_instructions);
         if (observer_)
             observer_->issue(cycle_, *d);
@@ -569,10 +633,11 @@ Core::issueStage()
         const uint64_t rs1v = readOperand(d->prs1);
         const uint64_t rs2v = readOperand(d->prs2);
         d->exec = evaluateOp(d->si, d->pc, rs1v, rs2v);
-        completion_events_.emplace(cycle_ + execLatency(d->si), d);
+        completions_.push(cycle_ + execLatency(d->si), refOf(*d));
     }
-    std::erase_if(rs_,
-                  [](const DynInstPtr &d) { return d->issued; });
+    ready_.erase(ready_.begin(),
+                 ready_.begin() + static_cast<std::ptrdiff_t>(n));
+    rs_count_ -= static_cast<unsigned>(n);
 }
 
 // --------------------------------------------------------------------
@@ -582,14 +647,11 @@ Core::issueStage()
 void
 Core::writebackStage()
 {
-    while (!completion_events_.empty() &&
-           completion_events_.begin()->first <= cycle_) {
-        DynInstPtr d = completion_events_.begin()->second;
-        completion_events_.erase(completion_events_.begin());
-        if (d->squashed)
-            continue;
-        completeInst(d);
-    }
+    // Events of squashed instructions are stale and dropped.
+    completions_.drain(cycle_, [this](InstRef ref) {
+        if (DynInst *d = liveInst(ref))
+            completeInst(d);
+    });
 }
 
 void
@@ -621,7 +683,7 @@ Core::completeInst(const DynInstPtr &d)
         observer_->executed(cycle_, *d);
     if (d->has_dest) {
         d->result = d->exec.value;
-        prf_.write(d->prd, d->result);
+        writeReg(d->prd, d->result);
     }
     if (d->is_ctrl) {
         d->actual_next_pc =

@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "common/stats.h"
 #include "isa/program.h"
 #include "mem/memory_system.h"
+#include "uarch/completion_queue.h"
 #include "uarch/dyn_inst.h"
 #include "uarch/phys_reg_file.h"
 #include "uarch/rename_map.h"
@@ -116,7 +116,7 @@ class Core
     bool drained() const
     {
         return rob_.empty() && fetch_queue_.empty() &&
-               completion_events_.empty() && rs_.empty() &&
+               completions_.empty() && rs_count_ == 0 &&
                lq_.empty() && sq_.empty();
     }
 
@@ -144,6 +144,10 @@ class Core
     {
         return pending_squashes_;
     }
+
+    /** The reservation-station entries whose source registers are
+     *  all written, in seq order: what issueStage selects from. */
+    const std::vector<DynInstPtr> &readyList() const { return ready_; }
 
     MemorySystem &memorySystem() { return memsys_; }
     ByteMemory &memory() { return mem_; }
@@ -260,12 +264,36 @@ class Core
     uint64_t fetch_stall_until_ = 0;
     std::deque<FetchEntry> fetch_queue_;
 
+    // In-flight instruction storage.
+    /** Every in-flight DynInst lives in a slot of slab_, sized at
+     *  construction for the most that can be in flight: a full ROB,
+     *  a full fetch queue and one fetch group past it. slot_seq_[i]
+     *  is the seq of slot i's occupant, 0 while the slot is free; an
+     *  InstRef whose seq differs is stale. Free slots are reused
+     *  oldest-released first and, under ASan, poisoned while free so
+     *  a stale handle that skips the seq check is reported. */
+    std::unique_ptr<DynInst[]> slab_;
+    std::vector<SeqNum> slot_seq_;
+    std::vector<uint32_t> free_slots_; ///< ring of free slot ids
+    std::size_t free_head_ = 0;
+    std::size_t free_count_ = 0;
+
     // Backend structures.
     std::deque<DynInstPtr> rob_;
-    std::vector<DynInstPtr> rs_;
+    /** Reservation-station occupancy (entries with in_rs set). */
+    unsigned rs_count_ = 0;
+    /** RS entries with every source register written, in seq order.
+     *  An entry joins at dispatch or at the writeback of its last
+     *  unready source, and leaves at issue or squash. */
+    std::vector<DynInstPtr> ready_;
+    /** Per physical register, the RS entries dispatched while it was
+     *  unwritten; emptied by the register's writeback (writeReg) and
+     *  at its allocation. Entries of squashed instructions go stale
+     *  and are skipped. */
+    std::vector<std::vector<InstRef>> waiters_;
     std::vector<DynInstPtr> lq_;
     std::vector<DynInstPtr> sq_;
-    std::multimap<uint64_t, DynInstPtr> completion_events_;
+    CompletionQueue completions_;
     /** Flagged ROB entries in seq order (see pendingSquashes()):
      *  added where a flag is set, removed where it is cleared or the
      *  entry is squashed. Flagged entries cannot commit, so nothing
@@ -301,6 +329,26 @@ class Core
     const StatSet::Counter *renameHazardStat(const DynInst &d) const;
 
     // --- helpers -------------------------------------------------------
+    /** Takes a free slab slot for a new instruction @p seq. */
+    DynInst *allocInst(SeqNum seq);
+    /** Returns @p d's slot; every handle to it is stale from here. */
+    void releaseInst(DynInst *d);
+    InstRef refOf(const DynInst &d) const
+    {
+        return {static_cast<uint32_t>(&d - slab_.get()), d.seq};
+    }
+    /** The instruction @p ref names, or null if it is stale. */
+    DynInst *liveInst(InstRef ref) const
+    {
+        return slot_seq_[ref.slot] == ref.seq ? &slab_[ref.slot]
+                                              : nullptr;
+    }
+    /** Dispatches @p d to the RS: onto the waiter list of each
+     *  unwritten source register, or onto the ready list. */
+    void enterReservationStation(DynInst &d);
+    /** Writeback of a destination register: writes the value and
+     *  moves the waiters it completes onto the ready list. */
+    void writeReg(PhysReg reg, uint64_t value);
     /** Charges one policy-gated stall cycle of @p d to @p kind: bumps
      *  the plain delay counter and, when an observer is installed,
      *  reports the cycle with the engine's cause attribution. The
@@ -319,7 +367,6 @@ class Core
     void squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
                     const DynInstPtr &restore_ctrl);
     unsigned execLatency(const Instruction &si) const;
-    bool operandsReady(const DynInst &d) const;
     uint64_t readOperand(PhysReg reg) const;
 };
 

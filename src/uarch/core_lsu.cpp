@@ -81,7 +81,7 @@ Core::tryLoadAccess(const DynInstPtr &ld)
     // Scan older stores, youngest first, over *virtual* addresses
     // (which the LSQ knows even for stores whose policy-gated
     // execution has not happened yet — Section 6.7).
-    DynInstPtr fwd;
+    DynInstPtr fwd = nullptr;
     bool unknown_addr_seen = false;
     for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
         const DynInstPtr &st = *it;
@@ -164,7 +164,7 @@ Core::tryLoadAccess(const DynInstPtr &ld)
         observer_->gateOpened(cycle_, *ld, DelayKind::kMemAccess);
         observer_->memAccess(cycle_, *ld);
     }
-    completion_events_.emplace(cycle_ + latency, ld);
+    completions_.push(cycle_ + latency, refOf(*ld));
     return true;
 }
 
@@ -189,7 +189,8 @@ Core::completeLoadData(const DynInstPtr &ld)
 
     engine_->onLoadData(*ld, ld->forwarded, ld->forwarding_store);
 
-    prf_.write(ld->prd, ld->result);
+    if (ld->has_dest)
+        writeReg(ld->prd, ld->result);
     ld->executed = true;
     ld->completed = true;
     if (observer_)

@@ -20,7 +20,7 @@ Core::commitStage()
     for (unsigned n = 0; n < params_.commit_width; ++n) {
         if (rob_.empty())
             break;
-        DynInstPtr d = rob_.front();
+        DynInst *d = rob_.front();
         if (!d->completed || d->squash_pending ||
             d->mem_violation_pending)
             break;
@@ -57,11 +57,15 @@ Core::commitStage()
         ++retired_;
         stats_.inc(ctr_.commit_instructions);
 
-        if (d->si.op == Opcode::kHalt) {
+        const bool halt = d->si.op == Opcode::kHalt;
+        const SeqNum seq = d->seq;
+        const uint64_t pc = d->pc;
+        releaseInst(d);
+        if (halt) {
             halted_ = true;
             // Drain: squash everything fetched past the halt so the
             // RAT reflects final architectural state.
-            squashFrom(d->seq + 1, d->pc + 1, nullptr);
+            squashFrom(seq + 1, pc + 1, nullptr);
             break;
         }
     }
@@ -78,8 +82,8 @@ Core::handleSquashes()
     // candidate older than the performed squash is charged one delay
     // cycle (candidates younger than it are squashed this cycle and
     // charge nothing — the same engine queries fire either way).
-    // Only flagged entries are visited, in ROB order; the copy keeps
-    // the entry alive while a squash edits the list.
+    // Only flagged entries are visited, in ROB order; the pointer is
+    // copied out because a squash edits the list.
     for (std::size_t i = 0; i < pending_squashes_.size(); ++i) {
         const DynInstPtr d = pending_squashes_[i];
         if (d->squash_pending) {
@@ -162,9 +166,20 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
     if (restore_from)
         bpu_.restore((*restore_from)->checkpoint);
 
+    // The seq-ordered lists lose their squashed tails first: the
+    // ROB walk below releases the instructions they point to.
+    const auto drop_tail = [first_squashed](std::vector<DynInstPtr> &v) {
+        while (!v.empty() && v.back()->seq >= first_squashed)
+            v.pop_back();
+    };
+    drop_tail(pending_squashes_);
+    drop_tail(ready_);
+    drop_tail(lq_);
+    drop_tail(sq_);
+
     // Walk the ROB from the tail, undoing rename mappings.
     while (!rob_.empty() && rob_.back()->seq >= first_squashed) {
-        DynInstPtr d = rob_.back();
+        DynInst *d = rob_.back();
         d->squashed = true;
         engine_->onSquash(*d);
         if (observer_)
@@ -175,26 +190,18 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         }
         if (d->is_store)
             store_sets_.storeRemoved(d->pc, d->seq);
+        if (d->in_rs)
+            --rs_count_;
         rob_.pop_back();
         stats_.inc(ctr_.squash_instructions);
+        releaseInst(d);
     }
-    while (!pending_squashes_.empty() &&
-           pending_squashes_.back()->seq >= first_squashed)
-        pending_squashes_.pop_back();
-    std::erase_if(rs_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
-    std::erase_if(lq_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
-    std::erase_if(sq_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
     for (FetchEntry &fe : fetch_queue_) {
         fe.inst->squashed = true;
         engine_->onSquash(*fe.inst);
         if (observer_)
             observer_->squashed(cycle_, *fe.inst);
+        releaseInst(fe.inst);
     }
     fetch_queue_.clear();
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * The in-flight dynamic instruction record shared by ROB, reservation
- * station, and LSQ.
+ * station, and LSQ. Records live in their Core's slab (uarch/core.h):
+ * a DynInstPtr is a plain pointer that is valid from fetch until the
+ * instruction retires or is squashed; structures that may outlive an
+ * instruction hold an InstRef instead.
  */
 
 #ifndef SPT_UARCH_DYN_INST_H
 #define SPT_UARCH_DYN_INST_H
-
-#include <memory>
 
 #include "bp/bpu.h"
 #include "isa/instruction.h"
@@ -38,10 +39,14 @@ struct DynInst {
     PhysReg prev_prd = kNoPhysReg;
 
     // --- pipeline status ----------------------------------------------
+    bool in_rs = false;      ///< dispatched to the RS, not yet issued
     bool issued = false;     ///< left the RS
     bool executed = false;   ///< result/outcome computed
     bool completed = false;  ///< commit-eligible
     bool squashed = false;
+    /** Source registers not yet written while in the RS; the entry
+     *  joins the ready list when this reaches 0. */
+    uint8_t pending_srcs = 0;
 
     // --- control flow -------------------------------------------------
     bool predicted_taken = false;
@@ -90,7 +95,15 @@ struct DynInst {
     bool isMem() const { return is_load || is_store; }
 };
 
-using DynInstPtr = std::shared_ptr<DynInst>;
+using DynInstPtr = DynInst *;
+
+/** A reference that may outlive its instruction: the slab slot and
+ *  the seq it held when the reference was taken. Stale (to be
+ *  dropped) once the slot holds another seq or none (Core::liveInst). */
+struct InstRef {
+    uint32_t slot = 0;
+    SeqNum seq = 0;
+};
 
 } // namespace spt
 

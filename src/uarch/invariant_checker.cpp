@@ -297,17 +297,23 @@ InvariantChecker::checkStructure(uint64_t cycle)
                       " > capacity " + std::to_string(p.rob_size),
                   cycle, nullptr);
     // The squash gates' work list must be exactly the flagged ROB
-    // entries, in ROB order: matched against them in the same walk.
+    // entries, and the issue ready list exactly the RS entries whose
+    // source registers are written, both in ROB order: matched
+    // against them in the same walk.
     const std::vector<DynInstPtr> &pending = core_.pendingSquashes();
     std::size_t listed = 0;
     bool worklist_ok = true;
+    const std::vector<DynInstPtr> &ready = core_.readyList();
+    const PhysRegFile &prf = core_.physRegs();
+    std::size_t ready_listed = 0;
+    bool ready_ok = true;
     SeqNum prev = 0;
     for (const DynInstPtr &d : rob) {
         if (d->seq <= prev) {
             violation("rob-order",
                       "ROB seq not strictly increasing at seq " +
                           std::to_string(d->seq),
-                      cycle, d.get());
+                      cycle, d);
             break;
         }
         prev = d->seq;
@@ -315,13 +321,21 @@ InvariantChecker::checkStructure(uint64_t cycle)
             std::ostringstream os;
             os << "engine taint slot of seq " << d->seq
                << " does not resolve to its instruction";
-            violation("taint-index", os.str(), cycle, d.get());
+            violation("taint-index", os.str(), cycle, d);
         }
         if (worklist_ok &&
             (d->squash_pending || d->mem_violation_pending)) {
             worklist_ok =
                 listed < pending.size() && pending[listed] == d;
             ++listed;
+        }
+        const bool operands_ready =
+            (d->num_srcs < 1 || prf.ready(d->prs1)) &&
+            (d->num_srcs < 2 || prf.ready(d->prs2));
+        if (ready_ok && d->in_rs && operands_ready) {
+            ready_ok = ready_listed < ready.size() &&
+                       ready[ready_listed] == d;
+            ++ready_listed;
         }
     }
     if (!worklist_ok || listed != pending.size())
@@ -331,13 +345,23 @@ InvariantChecker::checkStructure(uint64_t cycle)
                       " entries) differs from the flagged ROB "
                       "entries",
                   cycle, nullptr);
+    if (!ready_ok || ready_listed != ready.size())
+        violation("ready-set",
+                  "issue ready list (" + std::to_string(ready.size()) +
+                      " entries) differs from the RS entries whose "
+                      "operands are ready",
+                  cycle, nullptr);
+    if (!core_.engine().taintRootsConsistent())
+        violation("stt-root",
+                  "a taint root's slot liveness differs from its "
+                  "ROB liveness",
+                  cycle, nullptr);
 
     const auto in_rob = [&rob](const DynInstPtr &d) {
         const auto it = std::lower_bound(
             rob.begin(), rob.end(), d->seq,
             [](const DynInstPtr &e, SeqNum s) { return e->seq < s; });
-        return it != rob.end() && (*it)->seq == d->seq &&
-               it->get() == d.get();
+        return it != rob.end() && *it == d;
     };
     const auto checkQueue = [&](const std::vector<DynInstPtr> &q,
                                 unsigned cap, const char *name) {
@@ -353,7 +377,7 @@ InvariantChecker::checkStructure(uint64_t cycle)
                           std::string(name) + " entry seq " +
                               std::to_string(d->seq) +
                               " is squashed or not in the ROB",
-                          cycle, d.get());
+                          cycle, d);
                 break;
             }
         }

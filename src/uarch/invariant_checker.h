@@ -18,11 +18,14 @@
  *    engine's own `untaint.events` counter at the end of the run;
  *  - structural consistency, every cycle: ROB within capacity and
  *    seq-sorted, the core's pending-squash work list equal to the
- *    flagged ROB entries, LQ/SQ within capacity and subsets of the
- *    ROB,
+ *    flagged ROB entries ("squash-worklist"), its issue ready list
+ *    equal to the RS entries whose operands are ready, in seq order
+ *    ("ready-set"), LQ/SQ within capacity and subsets of the ROB,
  *    engine taint slots resolve to their owning instruction
- *    (SecurityEngine::taintStateConsistent), and the broadcast
- *    queue is bounded by 3 flags per ROB entry.
+ *    (SecurityEngine::taintStateConsistent), the engine's taint
+ *    roots agree with the ROB (SecurityEngine::taintRootsConsistent,
+ *    "stt-root"), and the broadcast queue is bounded by 3 flags per
+ *    ROB entry.
  *
  * On violation the checker records a structured DiagnosticReport
  * (machine dump + the last 64 pipeline events) instead of aborting;

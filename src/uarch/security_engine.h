@@ -135,6 +135,10 @@ class SecurityEngine
     {
         return true;
     }
+    /** Do the engine's machine-wide taint-root references agree with
+     *  the ROB (STT: root-slot liveness equals Core::findInst
+     *  liveness)? Checked by the InvariantChecker every cycle. */
+    virtual bool taintRootsConsistent() const { return true; }
 
     // --- observability -------------------------------------------------
     /** Installed by the Core (null when tracing/profiling is off);

@@ -9,6 +9,7 @@
 
 #include "bp/bpu.h"
 #include "bp/simple_predictors.h"
+#include "common/logging.h"
 
 namespace spt {
 namespace {
@@ -121,6 +122,18 @@ TEST(Tage, CheckpointRoundTrip)
         tage.predict(1000 + i);
     tage.restore(cp);
     EXPECT_EQ(tage.checkpoint().words, cp.words);
+}
+
+TEST(Tage, RejectsMoreTablesThanACheckpointHolds)
+{
+    // Branch checkpoints are fixed inline storage: a config they
+    // cannot hold is a user error, not a silent overflow.
+    TageConfig config;
+    config.num_tables = kMaxTageTables + 1;
+    config.history_lengths.clear();
+    for (unsigned t = 0; t < config.num_tables; ++t)
+        config.history_lengths.push_back(8u << t);
+    EXPECT_THROW(TagePredictor{config}, FatalError);
 }
 
 TEST(LoopPredictor, LearnsTripCount)

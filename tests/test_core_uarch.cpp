@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/engine_factory.h"
 #include "isa/assembler.h"
 #include "isa/functional_cpu.h"
+#include "uarch/completion_queue.h"
 #include "uarch/core.h"
 #include "uarch/store_set.h"
 
@@ -310,6 +316,48 @@ base:
     EXPECT_TRUE(r.halted);
     expectMatchesReference(*core, p);
     EXPECT_GT(core->bpu().stats().get("bpu.ras_predictions"), 5u);
+}
+
+TEST(CompletionQueue, DrainsInCycleThenPushOrderLikeAMultimap)
+{
+    // The calendar against the multimap it replaced: random latencies
+    // inside the bucket horizon, at it, past it and at or before the
+    // last drained cycle (side list), drained one cycle at a time and
+    // across skipped stretches, must pop in the same (cycle, push)
+    // order, and nextCycle() must always name the earliest event.
+    Rng rng(7);
+    CompletionQueue q;
+    std::multimap<uint64_t, InstRef> ref;
+    const uint64_t latencies[] = {0, 1, 2, 3, 12, 100, 255,
+                                  256, 257, 300, 1000};
+    uint64_t now = 0;
+    uint32_t pushed = 0;
+    for (int step = 0; step < 5000; ++step) {
+        const unsigned n = static_cast<unsigned>(rng.nextBelow(4));
+        for (unsigned i = 0; i < n; ++i) {
+            const uint64_t lat = latencies[rng.nextBelow(
+                sizeof latencies / sizeof latencies[0])];
+            const uint64_t when =
+                lat == 0 && now > 0 ? now - rng.nextBelow(2) : now + lat;
+            const InstRef r{pushed % 97, ++pushed};
+            q.push(when, r);
+            ref.emplace(when, r);
+        }
+        ASSERT_EQ(q.nextCycle(), ref.empty() ? CompletionQueue::kNever
+                                             : ref.begin()->first);
+        now += rng.nextBelow(8) == 0 ? 1 + rng.nextBelow(400) : 1;
+        std::vector<std::pair<uint32_t, SeqNum>> got, want;
+        q.drain(now, [&got](InstRef r) {
+            got.emplace_back(r.slot, r.seq);
+        });
+        while (!ref.empty() && ref.begin()->first <= now) {
+            want.emplace_back(ref.begin()->second.slot,
+                              ref.begin()->second.seq);
+            ref.erase(ref.begin());
+        }
+        ASSERT_EQ(got, want) << "step " << step;
+        ASSERT_EQ(q.empty(), ref.empty());
+    }
 }
 
 } // namespace

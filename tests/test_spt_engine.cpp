@@ -65,11 +65,10 @@ TEST(SptEngine, RenameRules)
     // Tick until everything is renamed, before much retires: use a
     // long icache stall knowledge — simpler: tick and inspect once
     // the rob holds pc 4.
-    DynInstPtr li0, add2, ld3, add4;
+    DynInstPtr add2 = nullptr, ld3 = nullptr, add4 = nullptr;
     for (int c = 0; c < 2000 && !add4; ++c) {
         rig.core->tick();
         for (const DynInstPtr &d : rig.core->rob()) {
-            if (d->pc == 0) li0 = d;
             if (d->pc == 2) add2 = d;
             if (d->pc == 3) ld3 = d;
             if (d->pc == 4) add4 = d;
