@@ -30,8 +30,9 @@
  * change invalidates the cache and a pure refactor keeps it warm.
  *
  * Only re-record when an intentional semantic change shifts the
- * counters (or, for --full-stats, any cycle or counter), and justify the delta in the PR description; pure
- * performance work on the SPT engine must leave them untouched.
+ * counters (for --full-stats: any cycle or counter), and justify
+ * the delta in the PR description; pure performance work on the
+ * simulator must leave both tables untouched.
  *
  * Exits through toolMain: 2 on a malformed flag, 1 if a golden case
  * does not halt.
