@@ -1,5 +1,7 @@
 #include "core/baseline_engines.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "uarch/core.h"
 
@@ -15,6 +17,7 @@ SttEngine::attach(Core &core)
     roots_.assign(core.params().lq_size, RootSlot{});
     roots_head_ = 0;
     roots_count_ = 0;
+    roots_at_vp_ = 0;
 }
 
 void
@@ -49,6 +52,8 @@ SttEngine::onRetire(const DynInst &d)
         roots_[roots_head_].seq = 0;
         roots_head_ = (roots_head_ + 1) % roots_.size();
         --roots_count_;
+        if (roots_at_vp_ != 0)
+            --roots_at_vp_;
     }
 }
 
@@ -63,7 +68,24 @@ SttEngine::onSquash(const DynInst &d)
     if (roots_[tail].seq == d.seq) {
         roots_[tail].seq = 0;
         --roots_count_;
+        roots_at_vp_ = std::min(roots_at_vp_, roots_count_);
     }
+}
+
+void
+SttEngine::tick()
+{
+    // A root at the VP no longer taints: its refused dependents may
+    // access memory now. This is the only event that can open a
+    // refused STT memory gate besides the transmitter's own arrival
+    // at the VP, which the core handles.
+    if (!rootReachedVp())
+        return;
+    do {
+        ++roots_at_vp_;
+    } while (rootReachedVp());
+    core_->wakeTransmitters(
+        [this](const DynInst &d) { return !regTainted(d.prs1); });
 }
 
 bool

@@ -14,7 +14,9 @@
  *    Untainting is implicit and single-cycle: a root that reached
  *    the VP (or left the pipeline) no longer taints its dependents.
  *    In-flight roots sit in a ring indexed from each register's
- *    root reference, so a liveness check is one slot read.
+ *    root reference, so a liveness check is one slot read; tick()
+ *    wakes the refused transmitters a root untaints as it reaches
+ *    the VP.
  */
 
 #ifndef SPT_CORE_BASELINE_ENGINES_H
@@ -81,6 +83,8 @@ class SttEngine : public SecurityEngine
     void onRename(DynInst &d) override;
     void onRetire(const DynInst &d) override;
     void onSquash(const DynInst &d) override;
+    void tick() override;
+    bool quiescent() const override { return !rootReachedVp(); }
 
     bool mayAccessMemory(const DynInst &d) const override;
     bool mayResolveBranch(const DynInst &d) const override;
@@ -143,6 +147,18 @@ class SttEngine : public SecurityEngine
     std::vector<RootSlot> roots_;
     std::size_t roots_head_ = 0;
     std::size_t roots_count_ = 0;
+    /** Roots from the head already seen at the VP by tick(). The VP
+     *  is a prefix of the ROB, so it is a prefix of the ring too. */
+    std::size_t roots_at_vp_ = 0;
+
+    /** Has a root reached the VP that tick() has not seen yet? */
+    bool
+    rootReachedVp() const
+    {
+        return roots_at_vp_ < roots_count_ &&
+               roots_[(roots_head_ + roots_at_vp_) % roots_.size()]
+                   .inst->at_vp;
+    }
 
     /** A root taints while its load is in flight short of the VP. */
     bool

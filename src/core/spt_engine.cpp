@@ -113,8 +113,10 @@ SptEngine::attach(Core &core)
     local_queue_.clear();
     pending_flags_.assign(cap);
     reg_slots_.assign(core.physRegs().numRegs(), {});
+    for (std::vector<RegSlotRef> &refs : reg_slots_)
+        refs.reserve(16); // the size registerRegSlots compacts at
     stl_candidates_.assign(cap);
-    shadow_candidates_.assign(cap);
+    shadow_due_.assign(cap);
     armed_.assign(core.physRegs().numRegs(), 0);
 }
 
@@ -178,6 +180,12 @@ SptEngine::instTaint(SeqNum seq) const
 void
 SptEngine::markLocalDirty(Entry &e)
 {
+    // Every change of an instruction's masks lands here, so this is
+    // where a refused memory gate (src[0]) may open and where a
+    // shadow candidate's output may have untainted.
+    core_->wakeTransmitter(*e.inst);
+    if (e.shadow_candidate)
+        shadow_due_.set(static_cast<uint64_t>(&e - entries_.data()));
     if (cfg_.method == UntaintMethod::kNone)
         return; // the local-rules phase never runs
     if (e.in_local_queue)
@@ -216,7 +224,7 @@ SptEngine::freeEntry(Entry &e)
     for (int slot = 0; slot < 3; ++slot)
         clearFlag(e, slot);
     stl_candidates_.clear(idx);
-    shadow_candidates_.clear(idx);
+    shadow_due_.clear(idx);
     e.stl_candidate = false;
     e.shadow_candidate = false;
     e.live = false;
@@ -458,7 +466,7 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
         // May retroactively clear the read bytes once the output
         // untaints (shadowClearPhase).
         e->shadow_candidate = true;
-        shadow_candidates_.set(d.taint_idx);
+        shadow_due_.set(d.taint_idx);
     }
 }
 
@@ -688,12 +696,13 @@ bool
 SptEngine::quiescent() const
 {
     // tick() is a pure no-op iff no phase has queued work and the VP
-    // cursor has consumed the whole at_vp prefix. The candidate
-    // phases (STL, shadow-clear) re-check deterministic conditions
-    // each cycle, but with the core frozen their inputs cannot
-    // change: anything fireable fired on the tick that just ran, and
-    // a fire either queues follow-up work (raised flag / dirty local
-    // queue — both caught here) or is one-shot (shadow_cleared).
+    // cursor has consumed the whole at_vp prefix. The STL phase
+    // re-checks deterministic conditions each cycle, but with the
+    // core frozen its inputs cannot change: anything fireable fired
+    // on the tick that just ran, and a fire queues follow-up work
+    // (raised flag / dirty local queue — both caught here). The
+    // shadow-clear phase empties its due set on every tick, and only
+    // the events ruled out here refill it.
     if (!pending_flags_.empty() || !local_queue_.empty())
         return false;
     if (vp_cursor_ < tail_ &&
@@ -730,6 +739,8 @@ SptEngine::declassifyPhase()
         if (!e.inst->at_vp)
             break;
         ++vp_cursor_;
+        if (e.shadow_candidate)
+            shadow_due_.set(e.inst->taint_idx);
         if (e.it.declassified)
             continue;
         e.it.declassified = true;
@@ -929,19 +940,23 @@ SptEngine::shadowClearPhase()
 {
     if (cfg_.shadow == ShadowKind::kNone)
         return; // no taint-tracking structure to update
-    if (shadow_candidates_.empty())
-        return; // no load that could still clear anything
+    if (shadow_due_.empty())
+        return; // no candidate whose condition may have changed
 
     // Section 6.8 load rule, retroactive form: a non-speculative
     // load whose output register became untainted (e.g., backward-
     // declassified by a consumer transmitter at the VP) makes the
     // bytes it read publicly inferable — the attacker knows the load
     // accessed eff_addr (its address is declassified at the VP) and
-    // knows the output value. Candidate bits (set when load data
-    // arrives) cover every load that can still fire; visiting them
-    // in ring (= seq) order matches the old LSQ walk.
-    shadow_candidates_.forEach(head_, tail_, [&](uint64_t pos) {
+    // knows the output value. A candidate (a load whose data came
+    // from memory) fires once it is at the VP with an untainted
+    // output; it is due where either can have changed: when it
+    // became a candidate (onLoadData), when the declassify cursor
+    // passed it, and on any mask change (markLocalDirty). Visiting
+    // due candidates in ring (= seq) order matches the old LSQ walk.
+    shadow_due_.forEach(head_, tail_, [&](uint64_t pos) {
         Entry &e = entryAt(pos);
+        shadow_due_.clear(pos & idx_mask_);
         const DynInst *ld = e.inst;
         if (ld->squashed || !ld->at_vp || ld->forwarded ||
             !ld->access_done)
@@ -952,7 +967,6 @@ SptEngine::shadowClearPhase()
             return true;
         it.shadow_cleared = true;
         e.shadow_candidate = false;
-        shadow_candidates_.clear(pos & idx_mask_);
         taint_store_->clearTaint(ld->eff_addr, ld->mem_bytes);
         stats_.inc(ctr_.shadow_load_clears);
         return true;

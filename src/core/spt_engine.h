@@ -46,7 +46,13 @@
  *    drains it instead of rescanning the ROB. `vp_cursor_` tracks
  *    the ROB prefix already declassified (at_vp spreads as a
  *    contiguous, monotone prefix), so declassification visits each
- *    instruction exactly once.
+ *    instruction exactly once. `shadow_due_` holds the shadow
+ *    candidates whose condition may have changed, so shadow-clear
+ *    visits only those.
+ *  - Every mask change goes through markLocalDirty, which therefore
+ *    also wakes the instruction's refused memory gate
+ *    (Core::wakeTransmitter): the core asks a refused gate again
+ *    only after such a wake or the instruction's arrival at the VP.
  */
 
 #ifndef SPT_CORE_SPT_ENGINE_H
@@ -250,11 +256,14 @@ class SptEngine : public SecurityEngine
      *  consumers of that register instead of the whole ROB. */
     std::vector<std::vector<RegSlotRef>> reg_slots_;
 
-    /** Ring slots with stl_candidate / shadow_candidate set; the
-     *  candidate phases iterate set bits in ring (= seq) order with
-     *  word-level skips instead of walking the core's LSQ. */
+    /** Ring slots with stl_candidate set; the STL phase iterates
+     *  set bits in ring (= seq) order with word-level skips instead
+     *  of walking the core's LSQ. */
     RingBitmap stl_candidates_;
-    RingBitmap shadow_candidates_;
+    /** Shadow candidates whose firing condition (at the VP, output
+     *  untainted) may have changed since shadowClearPhase last
+     *  looked: the phase visits only these. */
+    RingBitmap shadow_due_;
 
     // Scratch for the per-cycle broadcast phase, kept across cycles
     // so the phase does not allocate.

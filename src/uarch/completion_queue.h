@@ -37,6 +37,15 @@ class CompletionQueue
 
     bool empty() const { return size_ == 0; }
 
+    /** Sizes every bucket for @p events, so that a run whose cycles
+     *  complete at most that many events each never allocates. */
+    void
+    reserve(std::size_t events)
+    {
+        for (std::vector<InstRef> &b : ring_)
+            b.reserve(events);
+    }
+
     /** Schedules @p ref to complete in cycle @p when. */
     void
     push(uint64_t when, InstRef ref)

@@ -55,7 +55,10 @@ Core::Core(Program program, const CoreParams &params,
     : program_(std::move(program)), params_(params),
       memsys_(mem_params), engine_(std::move(engine)),
       prf_(params.num_phys_regs), ctr_(stats_),
-      fetch_pc_(program_.entry())
+      fetch_pc_(program_.entry()),
+      fetch_queue_(std::size_t{params.fetch_queue_size} +
+                   params.fetch_width),
+      rob_(params.rob_size)
 {
     SPT_ASSERT(engine_ != nullptr, "core needs a security engine");
     // Live instructions are the ROB plus the fetch queue, which a
@@ -70,7 +73,16 @@ Core::Core(Program program, const CoreParams &params,
         free_slots_[i] = static_cast<uint32_t>(i);
     free_count_ = slots;
     ASAN_POISON_MEMORY_REGION(slab_.get(), slots * sizeof(DynInst));
+    // The lists grow past these only in rare bursts; a tick allocates
+    // nothing otherwise.
     waiters_.resize(params_.num_phys_regs);
+    for (std::vector<InstRef> &w : waiters_)
+        w.reserve(4);
+    completions_.reserve(params_.issue_width + params_.load_ports);
+    load_gates_.open.reserve(params_.lq_size);
+    load_gates_.refused.reserve(params_.lq_size);
+    store_gates_.open.reserve(params_.sq_size);
+    store_gates_.refused.reserve(params_.sq_size);
     program_.loadInto(mem_);
     // Architectural initial state: sp points at the stack top. The
     // initial RAT maps xN -> phys N, so write phys kRegSp directly.
@@ -83,6 +95,30 @@ Core::archReg(unsigned arch) const
 {
     SPT_ASSERT(arch < kNumArchRegs, "arch register out of range");
     return prf_.value(rat_.lookup(static_cast<uint8_t>(arch)));
+}
+
+void
+Core::insertBySeq(std::vector<DynInstPtr> &v, DynInstPtr d)
+{
+    const auto it = std::upper_bound(
+        v.begin(), v.end(), d->seq,
+        [](SeqNum s, const DynInstPtr &e) { return s < e->seq; });
+    v.insert(it, d);
+}
+
+void
+Core::reopenGate(const DynInst &d)
+{
+    GateLists &g = d.is_load ? load_gates_ : store_gates_;
+    const auto it = std::lower_bound(
+        g.refused.begin(), g.refused.end(), d.seq,
+        [](const DynInstPtr &e, SeqNum s) { return e->seq < s; });
+    SPT_ASSERT(it != g.refused.end() && (*it)->seq == d.seq,
+               "refused transmitter missing from its list");
+    DynInstPtr p = *it;
+    g.refused.erase(it);
+    p->gate_list = GateList::kOpen;
+    insertBySeq(g.open, p);
 }
 
 const DynInst *
@@ -173,9 +209,7 @@ Core::noteTransmitterDelay(const DynInst &d, DelayKind kind)
       case DelayKind::kBranchResolve: ++delay_branch_cycles_; break;
       case DelayKind::kMemOrderSquash: ++delay_memorder_cycles_; break;
     }
-    if (observer_)
-        observer_->delayCycle(cycle_, d, kind,
-                              engine_->delayCause(d, kind));
+    reportDelay(d, kind);
 }
 
 void
@@ -195,6 +229,10 @@ Core::run(uint64_t max_cycles)
     bool livelocked = false;
     bool wall_timeout = false;
     const auto wall_start = std::chrono::steady_clock::now();
+    // The wall clock is read at the first cycle at or past each
+    // multiple of 8192, so a fast-forward skip cannot step over a
+    // check.
+    uint64_t next_wall_check = (cycle_ | 0x1fff) + 1;
     // Fast-forward needs stats-pure gate prediction and an untouched
     // event stream: observers see per-cycle callbacks and fault
     // injectors consume per-cycle RNG draws, so either disables it.
@@ -227,12 +265,10 @@ Core::run(uint64_t max_cycles)
                 ckpt_hook_ = nullptr;
             }
         }
-        uint64_t skipped = 0;
         if (may_fast_forward && !halted_)
-            skipped =
-                tryFastForward(max_cycles, last_progress_cycle);
-        if (wall_timeout_seconds_ > 0.0 &&
-            ((cycle_ & 0x1fff) == 0 || skipped >= 0x2000)) {
+            tryFastForward(max_cycles, last_progress_cycle);
+        if (wall_timeout_seconds_ > 0.0 && cycle_ >= next_wall_check) {
+            next_wall_check = (cycle_ | 0x1fff) + 1;
             const std::chrono::duration<double> elapsed =
                 std::chrono::steady_clock::now() - wall_start;
             if (elapsed.count() > wall_timeout_seconds_) {
@@ -304,24 +340,20 @@ Core::quiescentCycle() const
             engine_->maySquashMemViolation(*d))
             return false;
     }
-    // Memory gates, via the stats-pure transmitPublic claim (equal
-    // to the gate whenever fastForwardSafe holds). A gate-open load
-    // counts as live even if the access would be refused (MSHR
-    // full / dependence stalls mutate stats and cache state).
-    for (const DynInstPtr &st : sq_) {
-        if (!st->addr_known || st->completed || st->squashed)
-            continue;
-        if (engine_->transmitPublic(*st, DelayKind::kMemAccess))
-            return false;
-        break; // stores translate in order: only the first matters
-    }
-    for (const DynInstPtr &ld : lq_) {
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
+    // Memory gates. A refused entry stays refused until a wake
+    // event, and a frozen machine makes none; an open one is asked
+    // the stats-pure transmitPublic claim (equal to the gate
+    // whenever fastForwardSafe holds). A gate-open load counts as
+    // live even if the access would be refused (MSHR full /
+    // dependence stalls mutate stats and cache state). Stores
+    // translate in order: only the oldest matters.
+    if (const DynInstPtr st = headStore(); st &&
+        st->gate_list == GateList::kOpen &&
+        engine_->transmitPublic(*st, DelayKind::kMemAccess))
+        return false;
+    for (const DynInstPtr &ld : load_gates_.open)
         if (engine_->transmitPublic(*ld, DelayKind::kMemAccess))
             return false;
-    }
     return engine_->quiescent();
 }
 
@@ -337,23 +369,20 @@ Core::accrueSkippedCycles(uint64_t k)
         if (d->mem_violation_pending)
             delay_memorder_cycles_ += k;
     }
-    for (const DynInstPtr &st : sq_) {
-        if (!st->addr_known || st->completed || st->squashed)
-            continue;
+    if (const DynInstPtr st = headStore()) {
         delay_mem_cycles_ += k;
         stats_.inc(ctr_.lsu_store_policy_delays, k);
         engine_->accrueBlockedTransmit(*st, DelayKind::kMemAccess,
                                        k);
-        break;
     }
-    for (const DynInstPtr &ld : lq_) {
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
-        delay_mem_cycles_ += k;
-        stats_.inc(ctr_.lsu_load_policy_delay_cycles, k);
-        engine_->accrueBlockedTransmit(*ld, DelayKind::kMemAccess,
-                                       k);
+    // Every waiting load is blocked on a quiescent cycle.
+    const GateLists &lg = load_gates_;
+    if (const uint64_t n = lg.open.size() + lg.refused.size()) {
+        delay_mem_cycles_ += n * k;
+        stats_.inc(ctr_.lsu_load_policy_delay_cycles, n * k);
+        engine_->accrueBlockedTransmit(
+            lg.open.empty() ? *lg.refused.front() : *lg.open.front(),
+            DelayKind::kMemAccess, n * k);
     }
     if (!fetch_queue_.empty()) {
         const FetchEntry &fe = fetch_queue_.front();
@@ -600,12 +629,8 @@ Core::writeReg(PhysReg reg, uint64_t value)
     prf_.write(reg, value);
     for (const InstRef &ref : waiters_[reg]) {
         DynInst *d = liveInst(ref);
-        if (!d || --d->pending_srcs != 0)
-            continue;
-        const auto it = std::upper_bound(
-            ready_.begin(), ready_.end(), d->seq,
-            [](SeqNum s, const DynInstPtr &e) { return s < e->seq; });
-        ready_.insert(it, d);
+        if (d && --d->pending_srcs == 0)
+            insertBySeq(ready_, d);
     }
     waiters_[reg].clear();
 }
@@ -662,6 +687,10 @@ Core::completeInst(const DynInstPtr &d)
         // known to the LSQ, before any memory access is performed.
         d->addr_known = true;
         d->eff_addr = d->exec.mem_addr;
+        // Now waiting on its memory gate (memStage).
+        d->gate_list = GateList::kOpen;
+        insertBySeq(d->is_load ? load_gates_.open : store_gates_.open,
+                    d);
         if (d->is_store) {
             d->store_data = d->exec.value;
             d->executed = true;

@@ -21,7 +21,6 @@
 #ifndef SPT_UARCH_CORE_H
 #define SPT_UARCH_CORE_H
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "uarch/dyn_inst.h"
 #include "uarch/phys_reg_file.h"
 #include "uarch/rename_map.h"
+#include "uarch/ring.h"
 #include "uarch/security_engine.h"
 #include "uarch/store_set.h"
 #include "uarch/types.h"
@@ -129,9 +129,60 @@ class Core
     uint64_t archReg(unsigned arch) const;
 
     // --- engine/test access ------------------------------------------
-    const std::deque<DynInstPtr> &rob() const { return rob_; }
+    const Ring<DynInstPtr> &rob() const { return rob_; }
     const std::vector<DynInstPtr> &loadQueue() const { return lq_; }
     const std::vector<DynInstPtr> &storeQueue() const { return sq_; }
+
+    /** The loads (or stores) whose address is known and whose memory
+     *  access has not started, split by their memory gate's last
+     *  answer. Both lists are in seq order. memStage asks the gate
+     *  only for `open` entries; a `refused` entry goes back to
+     *  `open` only on an event that can open its gate: it reaches
+     *  the VP, or the engine calls wakeTransmitter(s). */
+    struct GateLists {
+        std::vector<DynInstPtr> open;
+        std::vector<DynInstPtr> refused;
+    };
+    const GateLists &loadGates() const { return load_gates_; }
+    const GateLists &storeGates() const { return store_gates_; }
+
+    /** Engine wake site: @p d's memory gate may have opened (an
+     *  input of the gate changed). A refused @p d is asked again at
+     *  the next memStage; otherwise a no-op. */
+    void
+    wakeTransmitter(const DynInst &d)
+    {
+        if (d.gate_list == GateList::kRefused)
+            reopenGate(d);
+    }
+
+    /** Engine wake site: asks again every refused transmitter for
+     *  which @p opened(const DynInst &) holds. */
+    template <typename Pred>
+    void
+    wakeTransmitters(Pred opened)
+    {
+        for (GateLists *g : {&load_gates_, &store_gates_}) {
+            std::size_t keep = 0;
+            for (DynInstPtr d : g->refused) {
+                if (opened(*d)) {
+                    d->gate_list = GateList::kOpen;
+                    insertBySeq(g->open, d);
+                } else {
+                    g->refused[keep++] = d;
+                }
+            }
+            g->refused.resize(keep);
+        }
+    }
+
+    /** The VP cursor: the ROB offset of the oldest entry that is
+     *  short of the VP or blocks younger ones from reaching it.
+     *  Every older entry is at the VP and blocks nothing. */
+    std::size_t vpFrontier() const { return vp_frontier_; }
+    /** Does @p d keep every younger instruction short of the VP
+     *  under the configured attack model? */
+    bool blocksVp(const DynInst &d) const;
 
     /** Finds an in-flight (non-squashed) instruction by seq: a
      *  binary search, since the ROB is in strictly increasing seq
@@ -175,8 +226,9 @@ class Core
     /** The engine's broadcast-starvation site reads this. */
     FaultHooks *faultHooks() const { return faults_; }
 
-    /** Bounds run() by host wall-clock time (checked every 8192
-     *  cycles); 0 disables. The resulting RunResult is
+    /** Bounds run() by host wall-clock time (checked at the first
+     *  cycle at or past each multiple of 8192, fast-forwarded or
+     *  not); 0 disables. The resulting RunResult is
      *  schedule-dependent — sweeps exclude wall-timeout outcomes
      *  from determinism comparisons. */
     void setWallTimeout(double seconds)
@@ -262,7 +314,8 @@ class Core
     // Frontend.
     uint64_t fetch_pc_;
     uint64_t fetch_stall_until_ = 0;
-    std::deque<FetchEntry> fetch_queue_;
+    /** Sized for a full queue plus one fetch group past it. */
+    Ring<FetchEntry> fetch_queue_;
 
     // In-flight instruction storage.
     /** Every in-flight DynInst lives in a slot of slab_, sized at
@@ -279,7 +332,9 @@ class Core
     std::size_t free_count_ = 0;
 
     // Backend structures.
-    std::deque<DynInstPtr> rob_;
+    Ring<DynInstPtr> rob_;
+    /** See vpFrontier(): retire and squash keep it within the ROB. */
+    std::size_t vp_frontier_ = 0;
     /** Reservation-station occupancy (entries with in_rs set). */
     unsigned rs_count_ = 0;
     /** RS entries with every source register written, in seq order.
@@ -293,6 +348,8 @@ class Core
     std::vector<std::vector<InstRef>> waiters_;
     std::vector<DynInstPtr> lq_;
     std::vector<DynInstPtr> sq_;
+    GateLists load_gates_;
+    GateLists store_gates_;
     CompletionQueue completions_;
     /** Flagged ROB entries in seq order (see pendingSquashes()):
      *  added where a flag is set, removed where it is cleared or the
@@ -343,6 +400,13 @@ class Core
         return slot_seq_[ref.slot] == ref.seq ? &slab_[ref.slot]
                                               : nullptr;
     }
+    /** The oldest store waiting on its memory gate, open or
+     *  refused (stores translate in order); null if none. */
+    DynInstPtr headStore() const;
+    /** Inserts @p d into the seq-ordered list @p v. */
+    static void insertBySeq(std::vector<DynInstPtr> &v, DynInstPtr d);
+    /** Moves refused @p d back to its open list. */
+    void reopenGate(const DynInst &d);
     /** Dispatches @p d to the RS: onto the waiter list of each
      *  unwritten source register, or onto the ready list. */
     void enterReservationStation(DynInst &d);
@@ -350,11 +414,20 @@ class Core
      *  moves the waiters it completes onto the ready list. */
     void writeReg(PhysReg reg, uint64_t value);
     /** Charges one policy-gated stall cycle of @p d to @p kind: bumps
-     *  the plain delay counter and, when an observer is installed,
-     *  reports the cycle with the engine's cause attribution. The
-     *  single call site per gate is what makes the profiler's
-     *  attributed total exactly equal delay.total_cycles. */
+     *  the plain delay counter and reports the cycle (reportDelay).
+     *  Refused loads that memStage does not ask again are counted in
+     *  bulk there and reported one by one, so the profiler's
+     *  attributed total still equals delay.total_cycles. */
     void noteTransmitterDelay(const DynInst &d, DelayKind kind);
+    /** With an observer installed, reports one delay cycle of @p d
+     *  with the engine's cause attribution. */
+    void
+    reportDelay(const DynInst &d, DelayKind kind)
+    {
+        if (observer_)
+            observer_->delayCycle(cycle_, d, kind,
+                                  engine_->delayCause(d, kind));
+    }
     void completeInst(const DynInstPtr &d);
     void completeLoadData(const DynInstPtr &d);
     bool tryLoadAccess(const DynInstPtr &d);

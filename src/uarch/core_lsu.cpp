@@ -5,6 +5,9 @@
  * speculation, and violation detection.
  */
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.h"
 #include "uarch/core.h"
 
@@ -27,22 +30,53 @@ rangeCovers(uint64_t outer, unsigned outer_n, uint64_t inner,
 
 } // namespace
 
+DynInstPtr
+Core::headStore() const
+{
+    const GateLists &g = store_gates_;
+    if (g.open.empty())
+        return g.refused.empty() ? nullptr : g.refused.front();
+    if (g.refused.empty() ||
+        g.open.front()->seq < g.refused.front()->seq)
+        return g.open.front();
+    return g.refused.front();
+}
+
 void
 Core::memStage()
 {
+    // Only open entries are asked their gate. A refused entry's gate
+    // stays shut until a wake event moves it back (its arrival at
+    // the VP in updateVp, or an engine's wakeTransmitter), so it is
+    // charged its delay cycle without a query, at the seq-order
+    // position the query would have taken: observer events keep
+    // their order, and the counters are charged in bulk.
+
     // Stores: the policy-gated "execution" step (address translation
-    // and everything the paper counts as the store's transmit).
+    // and everything the paper counts as the store's transmit), in
+    // order: the pass stops at the first store whose gate is shut.
     unsigned store_ports = params_.store_ports;
-    for (const DynInstPtr &st : sq_) {
-        if (store_ports == 0)
+    GateLists &sg = store_gates_;
+    while (store_ports != 0) {
+        DynInstPtr st = headStore();
+        if (!st)
             break;
-        if (!st->addr_known || st->completed || st->squashed)
-            continue;
+        if (st->gate_list == GateList::kRefused) {
+            noteTransmitterDelay(*st, DelayKind::kMemAccess);
+            stats_.inc(ctr_.lsu_store_policy_delays);
+            engine_->accrueBlockedTransmit(*st, DelayKind::kMemAccess,
+                                           1);
+            break;
+        }
+        sg.open.erase(sg.open.begin());
         if (!engine_->mayAccessMemory(*st)) {
             noteTransmitterDelay(*st, DelayKind::kMemAccess);
             stats_.inc(ctr_.lsu_store_policy_delays);
-            break; // stores translate in order
+            st->gate_list = GateList::kRefused;
+            sg.refused.insert(sg.refused.begin(), st);
+            break;
         }
+        st->gate_list = GateList::kNone;
         st->access_done = true;
         st->completed = true;
         --store_ports;
@@ -53,21 +87,55 @@ Core::memStage()
         }
     }
 
-    // Loads, oldest first.
+    // Loads, oldest first, until the ports are used: the refused
+    // loads older than the last one visited are charged.
     unsigned load_ports = params_.load_ports;
-    for (const DynInstPtr &ld : lq_) {
-        if (load_ports == 0)
-            break;
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
+    GateLists &lg = load_gates_;
+    std::size_t charged = 0; // lg.refused[0, charged) charged this cycle
+    uint64_t bulk = 0;       // of which charged without a query
+    const auto chargeRefusedBefore = [&](SeqNum bound) {
+        const auto end = std::lower_bound(
+            lg.refused.begin() + static_cast<std::ptrdiff_t>(charged),
+            lg.refused.end(), bound,
+            [](const DynInstPtr &e, SeqNum s) { return e->seq < s; });
+        const std::size_t n =
+            static_cast<std::size_t>(end - lg.refused.begin());
+        if (observer_)
+            for (std::size_t i = charged; i < n; ++i)
+                reportDelay(*lg.refused[i], DelayKind::kMemAccess);
+        bulk += n - charged;
+        charged = n;
+    };
+    std::size_t next = 0, kept = 0; // compacts lg.open in place
+    while (next < lg.open.size() && load_ports != 0) {
+        DynInstPtr ld = lg.open[next++];
+        chargeRefusedBefore(ld->seq);
         if (!engine_->mayAccessMemory(*ld)) {
             noteTransmitterDelay(*ld, DelayKind::kMemAccess);
             stats_.inc(ctr_.lsu_load_policy_delay_cycles);
+            ld->gate_list = GateList::kRefused;
+            lg.refused.insert(
+                lg.refused.begin() + static_cast<std::ptrdiff_t>(charged),
+                ld);
+            ++charged;
             continue;
         }
-        if (tryLoadAccess(ld))
+        if (tryLoadAccess(ld)) {
+            ld->gate_list = GateList::kNone;
             --load_ports;
+        } else {
+            lg.open[kept++] = ld;
+        }
+    }
+    lg.open.erase(lg.open.begin() + static_cast<std::ptrdiff_t>(kept),
+                  lg.open.begin() + static_cast<std::ptrdiff_t>(next));
+    if (load_ports != 0)
+        chargeRefusedBefore(std::numeric_limits<SeqNum>::max());
+    if (bulk != 0) {
+        delay_mem_cycles_ += bulk;
+        stats_.inc(ctr_.lsu_load_policy_delay_cycles, bulk);
+        engine_->accrueBlockedTransmit(*lg.refused.front(),
+                                       DelayKind::kMemAccess, bulk);
     }
 }
 

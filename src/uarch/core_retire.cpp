@@ -54,6 +54,10 @@ Core::commitStage()
         if (observer_)
             observer_->retired(cycle_, *d);
         rob_.pop_front();
+        // The head is at the VP; a squash resolved this cycle may
+        // have let it commit before the cursor passed it.
+        if (vp_frontier_ != 0)
+            --vp_frontier_;
         ++retired_;
         stats_.inc(ctr_.commit_instructions);
 
@@ -176,6 +180,10 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
     drop_tail(ready_);
     drop_tail(lq_);
     drop_tail(sq_);
+    drop_tail(load_gates_.open);
+    drop_tail(load_gates_.refused);
+    drop_tail(store_gates_.open);
+    drop_tail(store_gates_.refused);
 
     // Walk the ROB from the tail, undoing rename mappings.
     while (!rob_.empty() && rob_.back()->seq >= first_squashed) {
@@ -196,6 +204,7 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         stats_.inc(ctr_.squash_instructions);
         releaseInst(d);
     }
+    vp_frontier_ = std::min(vp_frontier_, rob_.size());
     for (FetchEntry &fe : fetch_queue_) {
         fe.inst->squashed = true;
         engine_->onSquash(*fe.inst);
@@ -213,45 +222,52 @@ void
 Core::addPendingSquash(const DynInstPtr &d)
 {
     // Completions arrive out of order, so insert at the seq position.
-    const auto it = std::upper_bound(
-        pending_squashes_.begin(), pending_squashes_.end(), d->seq,
-        [](SeqNum s, const DynInstPtr &e) { return s < e->seq; });
-    pending_squashes_.insert(it, d);
+    insertBySeq(pending_squashes_, d);
 }
 
 // --------------------------------------------------------------------
 // Visibility point
 // --------------------------------------------------------------------
 
+bool
+Core::blocksVp(const DynInst &d) const
+{
+    if (params_.attack_model == AttackModel::kSpectre) {
+        // Control-flow speculation, augmented with data speculation
+        // sources (unresolved store addresses and pending
+        // violations) so the VP stays sound under memory-dependence
+        // speculation (paper Section 8).
+        return (d.is_squash_source && (!d.executed || d.squash_pending)) ||
+               (d.is_store && !d.addr_known) || d.mem_violation_pending;
+    }
+    // Futuristic: non-squashable.
+    return !d.completed || d.squash_pending || d.mem_violation_pending;
+}
+
 void
 Core::updateVp()
 {
-    bool blocked = false;
-    for (const DynInstPtr &d : rob_) {
-        if (!blocked && !d->at_vp) {
+    // The at_vp prefix reaches up to and including the oldest
+    // blocker. An entry that blocks nothing never blocks again (a
+    // branch is unresolved only until it executes and its squash is
+    // performed, a store's address stays known, and a violation is
+    // flagged only on a load younger than a store whose address was
+    // unknown, i.e. behind a blocker), and squashes cut only the
+    // tail, so the cursor resumes at the last blocker and visits
+    // each instruction once. The vp-frontier invariant re-derives
+    // it from the head.
+    while (vp_frontier_ < rob_.size()) {
+        DynInst *d = rob_[vp_frontier_];
+        if (!d->at_vp) {
             d->at_vp = true;
             if (observer_)
                 observer_->reachedVp(cycle_, *d);
+            // Every engine's memory gate opens at the VP.
+            wakeTransmitter(*d);
         }
-        if (params_.attack_model == AttackModel::kSpectre) {
-            // Control-flow speculation, augmented with data
-            // speculation sources (unresolved store addresses and
-            // pending violations) so the VP stays sound under
-            // memory-dependence speculation (paper Section 8).
-            if (d->is_squash_source &&
-                (!d->executed || d->squash_pending))
-                blocked = true;
-            if (d->is_store && !d->addr_known)
-                blocked = true;
-            if (d->mem_violation_pending)
-                blocked = true;
-        } else { // Futuristic: non-squashable.
-            if (!d->completed || d->squash_pending ||
-                d->mem_violation_pending)
-                blocked = true;
-        }
-        if (blocked && !d->at_vp)
+        if (blocksVp(*d))
             break;
+        ++vp_frontier_;
     }
 }
 

@@ -17,6 +17,11 @@
 
 namespace spt {
 
+/** Which of the core's memory-gate lists holds a load/store
+ *  (Core::GateLists): none before its address is known and once its
+ *  access has started. */
+enum class GateList : uint8_t { kNone, kOpen, kRefused };
+
 struct DynInst {
     // --- identity ---------------------------------------------------
     SeqNum seq = 0;
@@ -78,6 +83,7 @@ struct DynInst {
     /** Store-set predicted dependence: wait until this store's
      *  address is known (0 = none). */
     SeqNum wait_store_seq = 0;
+    GateList gate_list = GateList::kNone;
 
     // --- execution ------------------------------------------------------
     ExecResult exec;

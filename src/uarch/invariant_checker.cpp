@@ -307,6 +307,11 @@ InvariantChecker::checkStructure(uint64_t cycle)
     const PhysRegFile &prf = core_.physRegs();
     std::size_t ready_listed = 0;
     bool ready_ok = true;
+    // The from-head VP walk: every entry up to the first blocker
+    // is at the VP, and the cursor rests on that blocker.
+    std::size_t pos = 0;
+    std::size_t first_blocker = rob.size();
+    bool vp_prefix_ok = true;
     SeqNum prev = 0;
     for (const DynInstPtr &d : rob) {
         if (d->seq <= prev) {
@@ -337,6 +342,12 @@ InvariantChecker::checkStructure(uint64_t cycle)
                        ready[ready_listed] == d;
             ++ready_listed;
         }
+        if (first_blocker == rob.size()) {
+            vp_prefix_ok = vp_prefix_ok && d->at_vp;
+            if (core_.blocksVp(*d))
+                first_blocker = pos;
+        }
+        ++pos;
     }
     if (!worklist_ok || listed != pending.size())
         violation("squash-worklist",
@@ -350,6 +361,16 @@ InvariantChecker::checkStructure(uint64_t cycle)
                   "issue ready list (" + std::to_string(ready.size()) +
                       " entries) differs from the RS entries whose "
                       "operands are ready",
+                  cycle, nullptr);
+    if (!vp_prefix_ok || core_.vpFrontier() != first_blocker)
+        violation("vp-frontier",
+                  "VP cursor at ROB offset " +
+                      std::to_string(core_.vpFrontier()) +
+                      ", the from-head walk stops at " +
+                      std::to_string(first_blocker) +
+                      (vp_prefix_ok ? ""
+                                    : " with an entry before it short "
+                                      "of the VP"),
                   cycle, nullptr);
     if (!core_.engine().taintRootsConsistent())
         violation("stt-root",
@@ -384,6 +405,8 @@ InvariantChecker::checkStructure(uint64_t cycle)
     };
     checkQueue(core_.loadQueue(), p.lq_size, "LQ");
     checkQueue(core_.storeQueue(), p.sq_size, "SQ");
+    checkGates(cycle, core_.loadGates(), core_.loadQueue(), "load");
+    checkGates(cycle, core_.storeGates(), core_.storeQueue(), "store");
 
     const uint64_t occupancy =
         core_.engine().broadcastQueueOccupancy();
@@ -394,6 +417,54 @@ InvariantChecker::checkStructure(uint64_t cycle)
                       std::to_string(occupancy) +
                       " flags > bound " + std::to_string(bound),
                   cycle, nullptr);
+}
+
+void
+InvariantChecker::checkGates(uint64_t cycle, const Core::GateLists &g,
+                             const std::vector<DynInstPtr> &queue,
+                             const char *what)
+{
+    // The queue entries waiting on their memory gate are exactly the
+    // two lists; each list is in seq order; an open entry may be
+    // asked; a refused one must still be refused by the engine's
+    // claim, or a wake event was missed and its delay cycles are
+    // being charged without cause.
+    const auto waiting = [](const DynInst &d) {
+        return d.addr_known && !d.squashed &&
+               (d.is_load ? !d.access_done && !d.mem_violation_pending
+                          : !d.completed);
+    };
+    std::size_t expected = 0;
+    for (const DynInstPtr &d : queue)
+        expected += waiting(*d) ? 1 : 0;
+    std::string why;
+    if (g.open.size() + g.refused.size() != expected)
+        why = std::to_string(g.open.size() + g.refused.size()) +
+              " listed, " + std::to_string(expected) + " waiting";
+    const DynInst *bad = nullptr;
+    for (const auto *list : {&g.open, &g.refused}) {
+        const bool refused = list == &g.refused;
+        SeqNum prev = 0;
+        for (const DynInstPtr &d : *list) {
+            if (!why.empty())
+                break;
+            if (d->seq <= prev)
+                why = "list out of seq order";
+            else if (!waiting(*d) ||
+                     d->gate_list != (refused ? GateList::kRefused
+                                              : GateList::kOpen))
+                why = "a listed entry is not waiting on its gate";
+            else if (refused && core_.engine().transmitPublic(
+                                    *d, DelayKind::kMemAccess))
+                why = "a refused entry's gate is open";
+            if (!why.empty())
+                bad = d;
+            prev = d->seq;
+        }
+    }
+    if (!why.empty())
+        violation("gate-wake", std::string(what) + " gates: " + why,
+                  cycle, bad);
 }
 
 void

@@ -24,8 +24,11 @@
  *    engine taint slots resolve to their owning instruction
  *    (SecurityEngine::taintStateConsistent), the engine's taint
  *    roots agree with the ROB (SecurityEngine::taintRootsConsistent,
- *    "stt-root"), and the broadcast queue is bounded by 3 flags per
- *    ROB entry.
+ *    "stt-root"), the VP cursor rests where a walk from the ROB
+ *    head stops ("vp-frontier"), the memory-gate lists hold exactly
+ *    the loads/stores waiting on their gate and every refused one
+ *    is still refused by transmitPublic ("gate-wake"), and the
+ *    broadcast queue is bounded by 3 flags per ROB entry.
  *
  * On violation the checker records a structured DiagnosticReport
  * (machine dump + the last 64 pipeline events) instead of aborting;
@@ -41,12 +44,12 @@
 #include <string>
 #include <vector>
 
+#include "uarch/core.h"
 #include "uarch/pipeline_observer.h"
 #include "uarch/types.h"
 
 namespace spt {
 
-class Core;
 class JsonWriter;
 
 /** A structured post-mortem: what failed, where the machine was,
@@ -150,6 +153,9 @@ class InvariantChecker : public PipelineObserver
     void checkTransmit(uint64_t cycle, const DynInst &d,
                        DelayKind kind, const char *what);
     void checkStructure(uint64_t cycle);
+    void checkGates(uint64_t cycle, const Core::GateLists &g,
+                    const std::vector<DynInstPtr> &queue,
+                    const char *what);
     void violation(const char *kind, std::string message,
                    uint64_t cycle, const DynInst *d);
     std::vector<std::string> eventLines() const;

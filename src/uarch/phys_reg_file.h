@@ -8,10 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "isa/instruction.h"
+#include "uarch/ring.h"
 #include "uarch/types.h"
 
 namespace spt {
@@ -49,7 +49,8 @@ class PhysRegFile
   private:
     std::vector<uint64_t> values_;
     std::vector<uint8_t> ready_;
-    std::deque<PhysReg> free_list_;
+    /** FIFO: freed registers are reallocated oldest-freed first. */
+    Ring<PhysReg> free_list_;
 };
 
 } // namespace spt

@@ -50,7 +50,12 @@ class SecurityEngine
 
     // --- protection-policy queries ------------------------------------
     /** May this load/store perform its memory access (TLB + cache),
-     *  i.e., transmit its address operand? */
+     *  i.e., transmit its address operand? Once refused, the core
+     *  asks again only after the instruction reaches the VP or the
+     *  engine calls Core::wakeTransmitter(s) for it: an engine whose
+     *  gate can open on any other event must wake it there. The
+     *  blocked-check accounting of a refusal that is not asked again
+     *  goes through accrueBlockedTransmit. */
     virtual bool mayAccessMemory(const DynInst &) const
     {
         return true;
@@ -99,11 +104,14 @@ class SecurityEngine
      *  transmitPublic (chaos mutations) must refuse. */
     virtual bool fastForwardSafe() const { return true; }
 
-    /** Bulk equivalent of the per-cycle stat accrual a blocked
-     *  policy query performs: @p d stayed blocked on @p kind for
-     *  @p cycles consecutive skipped cycles. Engines whose gates
-     *  count block decisions (SPT, SecureBaseline) override this so
-     *  fast-forwarded runs keep bit-identical counters. */
+    /** Bulk equivalent of the stat accrual a blocked policy query
+     *  performs: @p cycles blocked queries on @p kind of
+     *  transmitters like @p d — the charge may depend on the kind and
+     *  on whether @p d is a load, nothing else — that the core did
+     *  not make (refused gates it did not ask again, fast-forwarded
+     *  cycles). Engines whose gates count block decisions (SPT, STT,
+     *  SecureBaseline) override this so counters stay bit-identical
+     *  to asking every cycle. */
     virtual void accrueBlockedTransmit(const DynInst &, DelayKind,
                                        uint64_t /*cycles*/)
     {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "isa/functional_cpu.h"
 #include "uarch/completion_queue.h"
 #include "uarch/core.h"
+#include "uarch/ring.h"
 #include "uarch/store_set.h"
 
 namespace spt {
@@ -357,6 +360,105 @@ TEST(CompletionQueue, DrainsInCycleThenPushOrderLikeAMultimap)
         }
         ASSERT_EQ(got, want) << "step " << step;
         ASSERT_EQ(q.empty(), ref.empty());
+    }
+}
+
+TEST(Ring, WrapsAtCapacityAndPopsAcrossTheSeam)
+{
+    Ring<int> r(6); // storage rounds up to 8
+    ASSERT_EQ(r.capacity(), 8u);
+    for (int i = 0; i < 8; ++i)
+        r.push_back(i);
+    EXPECT_THROW(r.push_back(8), PanicError);
+    for (int i = 0; i < 5; ++i)
+        r.pop_front();
+    // Full again with the front at storage slot 5: the live range
+    // 5..12 straddles the seam between slots 7 and 0.
+    for (int i = 8; i < 13; ++i)
+        r.push_back(i);
+    ASSERT_EQ(r.size(), 8u);
+    EXPECT_EQ(r.front(), 5);
+    EXPECT_EQ(r.back(), 12);
+    std::vector<int> seen;
+    for (int v : r)
+        seen.push_back(v);
+    EXPECT_EQ(seen, (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12}));
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], static_cast<int>(5 + i));
+    EXPECT_EQ(r.end() - r.begin(), 8);
+    EXPECT_EQ(*(r.begin() + 3), 8);
+    EXPECT_EQ(*(r.end() - 1), 12);
+
+    // pop_back back across the seam (12..8 sit in slots 4..0), then
+    // pop_front across it from the other side.
+    for (int i = 0; i < 5; ++i)
+        r.pop_back();
+    EXPECT_EQ(r.back(), 7);
+    r.push_back(20); // slot 0 again
+    r.pop_front();
+    r.pop_front();
+    r.pop_front(); // front leaves slot 7 for slot 0
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(r.front(), 20);
+    EXPECT_EQ(r.back(), 20);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.begin(), r.end());
+}
+
+TEST(Ring, LowerBoundOverAWrappedRange)
+{
+    // The ROB is searched by seq (Core::findInst) with the live range
+    // anywhere in storage; every rotation must give the index a
+    // sorted vector gives.
+    for (int rot = 0; rot < 16; ++rot) {
+        Ring<int> r(16);
+        for (int i = 0; i < rot; ++i) {
+            r.push_back(-1);
+            r.pop_front();
+        }
+        std::vector<int> ref;
+        for (int v = 10; v < 130; v += 10) {
+            r.push_back(v);
+            ref.push_back(v);
+        }
+        for (int key = 5; key <= 135; key += 5) {
+            const auto it = std::lower_bound(r.begin(), r.end(), key);
+            const auto want =
+                std::lower_bound(ref.begin(), ref.end(), key);
+            ASSERT_EQ(it - r.begin(), want - ref.begin())
+                << "rotation " << rot << " key " << key;
+        }
+        const Ring<int> &cr = r;
+        EXPECT_TRUE(std::is_sorted(cr.begin(), cr.end()));
+    }
+}
+
+TEST(Ring, MatchesADequeUnderRandomOps)
+{
+    Rng rng(11);
+    Ring<uint32_t> r(32);
+    std::deque<uint32_t> ref;
+    for (uint32_t step = 0; step < 20000; ++step) {
+        const uint64_t op = rng.nextBelow(3);
+        if (op == 0 && ref.size() < 32) {
+            r.push_back(step);
+            ref.push_back(step);
+        } else if (op == 1 && !ref.empty()) {
+            r.pop_front();
+            ref.pop_front();
+        } else if (op == 2 && !ref.empty()) {
+            r.pop_back();
+            ref.pop_back();
+        }
+        ASSERT_EQ(r.size(), ref.size());
+        if (!ref.empty()) {
+            ASSERT_EQ(r.front(), ref.front());
+            ASSERT_EQ(r.back(), ref.back());
+        }
+        ASSERT_TRUE(std::equal(r.begin(), r.end(), ref.begin(),
+                               ref.end()))
+            << "step " << step;
     }
 }
 

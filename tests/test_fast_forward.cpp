@@ -13,6 +13,8 @@
  *  - Fast-forward equivalence for the non-SPT engines (unsafe /
  *    secure baseline / STT), whose blocked-transmit accruals take a
  *    different path.
+ *  - The wall-clock cap is checked across skips, not only at the
+ *    cycles a skip happens to land on.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 
 #include "sim/simulator.h"
 #include "workloads/golden_suite.h"
+#include "workloads/workloads.h"
 
 namespace spt {
 namespace {
@@ -199,6 +202,27 @@ TEST(FastForward, RefusedUnderPolicyMutations)
     const MachineNumbers n = runMachine(c.program, cfg);
     EXPECT_EQ(n.ff_skipped, 0u);
     EXPECT_EQ(n.ff_windows, 0u);
+}
+
+// The cap is read at the first cycle at or past each multiple of
+// 8192. A skip that steps over a multiple must not postpone the
+// check to a later one: before the fix, fast-forwarded pchase first
+// checked at cycle 163,840.
+TEST(FastForward, WallClockCapIsCheckedAcrossSkips)
+{
+    SimConfig cfg;
+    cfg.engine.scheme = ProtectionScheme::kSpt;
+    cfg.engine.spt.method = UntaintMethod::kBackward;
+    cfg.engine.spt.shadow = ShadowKind::kShadowL1;
+    cfg.core.attack_model = AttackModel::kFuturistic;
+    cfg.core.fast_forward = true;
+    cfg.wall_timeout_seconds = 1e-9;
+    Simulator sim(makePointerChase(4096, 20000), cfg);
+    const SimResult r = sim.run();
+    EXPECT_EQ(r.termination, Termination::kWallTimeout);
+    EXPECT_GE(r.cycles, 8192u);
+    EXPECT_LT(r.cycles, 2u * 8192u);
+    EXPECT_GT(sim.core().stats().get("ff.skipped_cycles"), 0u);
 }
 
 } // namespace

@@ -399,6 +399,46 @@ TEST(InvariantChecker, SttRootSlotsMatchRobLiveness)
     }
 }
 
+TEST(InvariantChecker, GateListsAndVpCursorMatchTheirWalks)
+{
+    // A refused load or store is not asked its memory gate again
+    // until an event that can open it: it reaches the VP, STT's
+    // root of its address reaches the VP, or SPT changes its masks.
+    // The VP itself is a cursor that resumes at the last blocker.
+    // Every cycle the checker compares the gate lists with the LSQ
+    // and the engine's claim (gate-wake) and the cursor with a walk
+    // from the ROB head (vp-frontier), here across forced extra
+    // squashes and the memory-order squashes of both kernels.
+    for (const Program &p :
+         {makePointerChase(256, 1), makeHashTable(300, 300)}) {
+        for (const ProtectionScheme scheme :
+             {ProtectionScheme::kSecureBaseline, ProtectionScheme::kStt,
+              ProtectionScheme::kSpt}) {
+            uint64_t delayed = 0;
+            for (const AttackModel model :
+                 {AttackModel::kSpectre, AttackModel::kFuturistic}) {
+                SimConfig cfg;
+                cfg.engine.scheme = scheme;
+                cfg.engine.spt.method = UntaintMethod::kBackward;
+                cfg.engine.spt.shadow = ShadowKind::kShadowL1;
+                cfg.core.attack_model = model;
+                cfg.faults.seed = 9;
+                cfg.faults.set(FaultSite::kExtraSquash, 200'000);
+                cfg.invariants = true;
+                Simulator sim(p, cfg);
+                const SimResult r = sim.run();
+                ASSERT_NE(sim.invariants(), nullptr);
+                EXPECT_TRUE(sim.invariants()->clean())
+                    << sim.invariants()->reportsJson();
+                EXPECT_TRUE(r.halted);
+                delayed += sim.stat("engine.delay.mem_cycles");
+            }
+            // Gates were refused, so the lists were exercised.
+            EXPECT_GT(delayed, 0u) << static_cast<int>(scheme);
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Watchdogs
 // --------------------------------------------------------------------

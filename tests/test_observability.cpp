@@ -12,6 +12,7 @@
 
 #include "sim/exp_runner.h"
 #include "sim/simulator.h"
+#include "uarch/invariant_checker.h"
 #include "workloads/attack_programs.h"
 #include "workloads/workloads.h"
 
@@ -105,6 +106,51 @@ TEST(Trace, ObserversDoNotPerturbTheMachine)
     EXPECT_EQ(traced.result.cycles, bare_result.cycles);
     EXPECT_EQ(traced.result.instructions, bare_result.instructions);
     EXPECT_EQ(traced.engine_counters, bare_counters);
+}
+
+TEST(Trace, ObserversDoNotPerturbBlockedGates)
+{
+    // hashtab's loads are refused for long stretches under every
+    // protecting scheme. Refused gates are charged without a query,
+    // and with observers attached the same lists are walked to emit
+    // each delay cycle: the counters must not tell the two apart.
+    const Program program = makeHashTable(300, 300);
+    for (const ProtectionScheme scheme :
+         {ProtectionScheme::kSpt, ProtectionScheme::kStt,
+          ProtectionScheme::kSecureBaseline}) {
+        for (const AttackModel model :
+             {AttackModel::kSpectre, AttackModel::kFuturistic}) {
+            SimConfig plain = sptConfig();
+            plain.engine.scheme = scheme;
+            plain.core.attack_model = model;
+            Simulator bare(program, plain);
+            const SimResult bare_result = bare.run();
+
+            SimConfig observed = plain;
+            observed.profile = true;
+            observed.interval_stats = 500;
+            observed.invariants = true;
+            Simulator sim(program, observed);
+            std::ostringstream text, pipeview;
+            sim.enableTrace(&text, &pipeview);
+            const SimResult result = sim.run();
+
+            const std::string label =
+                std::to_string(static_cast<int>(scheme)) + "/" +
+                std::to_string(static_cast<int>(model));
+            EXPECT_EQ(result.cycles, bare_result.cycles) << label;
+            EXPECT_EQ(sim.core().stats().counters(),
+                      bare.core().stats().counters())
+                << label;
+            EXPECT_EQ(sim.core().engine().stats().counters(),
+                      bare.core().engine().stats().counters())
+                << label;
+            EXPECT_TRUE(sim.invariants()->clean())
+                << sim.invariants()->reportsJson();
+            EXPECT_GT(bare.stat("engine.delay.mem_cycles"), 0u)
+                << label;
+        }
+    }
 }
 
 TEST(Profile, DelayAttributionConservesEngineCounter)
